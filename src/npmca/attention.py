@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import netpbm, ops
+from . import ops
 from .autodiff import use_param
 from .errors import ShapeError
 from .matching import FeatureMap
@@ -73,11 +73,3 @@ def cm_forward(f_in: FeatureMap, state: CmState, tape=None) -> FeatureMap:
     out = ops.add(ops.mul(gamma, mixed), flat)
     return FeatureMap(ops.reshape(out, (h, w, c)))
 
-
-def dump_attention_debug(attention: Tensor, path: str) -> str:
-    """Write a normalized affinity matrix as a square grayscale raster."""
-    arr = np.asarray(attention.array, dtype=np.float64)
-    span = arr.max() - arr.min()
-    unit = (arr - arr.min()) / span if span > 0 else np.zeros_like(arr)
-    netpbm.write_pgm(path, np.rint(unit * 255.0).astype(np.uint8))
-    return path

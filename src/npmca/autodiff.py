@@ -107,6 +107,9 @@ class Tape:
             g = adjoints.get(uid)
             if g is not None:
                 p.gradient.array += np.asarray(g).reshape(p.gradient.shape)
+        # the leaves point back at this tape; dropping them lets reference
+        # counting free the tape as soon as its caller lets go of it
+        self._param_leaves.clear()
         return Gradients(adjoints)
 
 

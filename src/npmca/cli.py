@@ -28,16 +28,6 @@ from .netpbm import read_pgm
 from .propagation import InferenceOptions, infer_sequence, write_predictions
 from .training import TrainingDiverged, make_finetune_sampler, make_pretrain_sampler, train_loop
 
-_INT_KEYS = {"n", "seed", "frames", "iterations", "batch", "max_skip"}
-_FLOAT_KEYS = {"lr"}
-_BOOL_KEYS = {
-    "single_encoder",
-    "disable_cm",
-    "first_frame_only",
-    "dump_probs",
-    "hard_guidance",
-    "soft_reference",
-}
 _SKIP_KEYS = {"func", "config"}
 
 
@@ -64,23 +54,14 @@ def _parse_scales(text: str) -> tuple[float, ...]:
 
 
 def _load_config_file(path: str) -> dict:
-    values: dict[str, object] = {}
+    values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, text = line.split("=", 1)
-            key = key.strip()
-            text = text.strip()
-            if key in _INT_KEYS:
-                values[key] = int(text)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(text)
-            elif key in _BOOL_KEYS:
-                values[key] = text == "true"
-            else:
-                values[key] = text
+            values[key.strip()] = text.strip()
     return values
 
 
@@ -95,6 +76,8 @@ def _write_run_cfg(out_dir: str, command: str, args: argparse.Namespace) -> None
             continue
         if isinstance(value, bool):
             text = "true" if value else "false"
+        elif key == "resolution":
+            text = "%dx%d" % value
         elif isinstance(value, tuple):
             text = ",".join(str(v) for v in value)
         else:
@@ -117,9 +100,8 @@ def _apply_env_seed(args: argparse.Namespace) -> None:
 
 
 def cmd_gen(args) -> int:
-    resolution = _parse_resolution(args.resolution)
     for i in range(args.n):
-        cfg = random_scene(_derive_seed(args.seed, i, 0), args.preset, resolution, args.frames)
+        cfg = random_scene(_derive_seed(args.seed, i, 0), args.preset, args.resolution, args.frames)
         gen_seed = _derive_seed(args.seed, i, 1)
         video = generate_sequence(cfg, gen_seed, f"seq{i:05d}")
         write_sequence(args.out, video, format_scene_cfg(cfg, gen_seed))
@@ -170,11 +152,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    scales = _parse_scales(args.scales) if isinstance(args.scales, str) else args.scales
     params = init_model_params(0, ModelConfig(single_encoder=args.single_encoder))
     load_checkpoint(args.checkpoint, params)
     options = InferenceOptions(
-        scales=scales,
+        scales=args.scales,
         first_frame_only=args.first_frame_only,
         disable_cm=args.disable_cm,
         soft_guidance=not args.hard_guidance,
@@ -252,15 +233,21 @@ def _build_parser(config: dict | None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def apply_config(p, name):
+        # Values stay text, so argparse converts and checks each one with
+        # its argument's own type, exactly as if it came from the command
+        # line. Only flags (bool defaults) are read here.
         if config and config.get("command") == name:
-            p.set_defaults(**{k: v for k, v in config.items() if k != "command"})
+            p.set_defaults(**{
+                k: v == "true" if isinstance(p.get_default(k), bool) else v
+                for k, v in config.items() if k != "command"
+            })
 
     gen = sub.add_parser("gen", help="generate synthetic sequences")
     gen.add_argument("--n", type=_positive_int, required=False, default=None)
     gen.add_argument("--out", required=False)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--preset", choices=("default", "occlusion-heavy"), default="default")
-    gen.add_argument("--resolution", default="64x96")
+    gen.add_argument("--resolution", type=_parse_resolution, default="64x96")
     gen.add_argument("--frames", type=int, default=8)
     gen.add_argument("--config", default=None, help=argparse.SUPPRESS)
     apply_config(gen, "gen")
@@ -287,7 +274,7 @@ def _build_parser(config: dict | None) -> argparse.ArgumentParser:
     infer.add_argument("--checkpoint", required=False)
     infer.add_argument("--out", required=False)
     infer.add_argument("--sequence", default=None, help="restrict to one sequence name")
-    infer.add_argument("--scales", default="0.75,1.0,1.25")
+    infer.add_argument("--scales", type=_parse_scales, default="0.75,1.0,1.25")
     infer.add_argument("--first-frame-only", dest="first_frame_only", action="store_true")
     infer.add_argument("--disable-cm", dest="disable_cm", action="store_true")
     infer.add_argument("--single-encoder", dest="single_encoder", action="store_true")

@@ -433,12 +433,3 @@ def sample_triplet_indices(frame_count: int, max_skip: int, rng: np.random.Gener
     t = int(rng.integers(k + 1, frame_count))
     return 0, t - k, t
 
-
-def sample_training_triplet(video: VideoSequence, max_skip: int, seed: int):
-    """Three (frame, mask) pairs in temporal order from one sequence."""
-    if video.masks is None:
-        raise ValueError(f"sequence {video.name} has no masks to train on")
-    first, middle, last = sample_triplet_indices(len(video.frames), max_skip, make_rng(seed))
-    return tuple(
-        (video.frames[i], video.masks[i]) for i in (first, middle, last)
-    )

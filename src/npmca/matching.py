@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import netpbm, ops
+from . import ops
 from .autodiff import use_param
 from .errors import ConfigError, ShapeError
 from .tensor import ParamTensor, Tensor
@@ -43,14 +43,6 @@ class FeatureMap:
     @property
     def pixels(self) -> int:
         return self.height * self.width
-
-
-@dataclass
-class SimilarityMap:
-    """Pairwise similarities, reference pixels as rows, target as columns."""
-
-    matrix: Tensor
-    normalized: bool = False
 
 
 @dataclass
@@ -106,30 +98,28 @@ def flatten_grid(f: FeatureMap) -> Tensor:
     return ops.reshape(f.tensor, (f.pixels, f.channels))
 
 
-def similarity(ref_flat: Tensor, tar_flat: Tensor) -> SimilarityMap:
-    """Inner products of every reference pixel with every target pixel."""
+def similarity(ref_flat: Tensor, tar_flat: Tensor) -> Tensor:
+    """Inner products of every reference pixel (rows) with every target
+    pixel (columns)."""
     if ref_flat.ndim != 2 or tar_flat.ndim != 2:
         raise ShapeError(f"flattened features must be matrices, got {ref_flat.shape} and {tar_flat.shape}")
     if ref_flat.shape != tar_flat.shape:
         raise ShapeError(f"reference {ref_flat.shape} and target {tar_flat.shape} grids differ")
-    s = ops.matmul(ref_flat, ops.transpose(tar_flat))
-    return SimilarityMap(s, normalized=False)
+    return ops.matmul(ref_flat, ops.transpose(tar_flat))
 
 
-def normalize_similarity(s: SimilarityMap) -> SimilarityMap:
+def normalize_similarity(s: Tensor) -> Tensor:
     """Softmax over the reference axis, one distribution per target pixel."""
-    return SimilarityMap(ops.softmax_columns(s.matrix), normalized=True)
+    return ops.softmax_columns(s)
 
 
-def match(ref_flat: Tensor, s: SimilarityMap) -> Tensor:
+def match(ref_flat: Tensor, s: Tensor) -> Tensor:
     """Blend reference features by the normalized similarity columns.
 
     Returns (C/4, N): column j is the matched feature vector for target
     pixel j, a convex combination of the reduced reference rows.
     """
-    if not s.normalized:
-        raise ValueError("match needs a normalized similarity map")
-    return ops.matmul(ops.transpose(ref_flat), s.matrix)
+    return ops.matmul(ops.transpose(ref_flat), s)
 
 
 def nlpmm_forward(f_ref: FeatureMap, f_tar: FeatureMap, params: NlpmmParams, tape=None) -> FeatureMap:
@@ -150,24 +140,3 @@ def nlpmm_forward(f_ref: FeatureMap, f_tar: FeatureMap, params: NlpmmParams, tap
     h, w, c4 = r_tar.tensor.shape
     return FeatureMap(ops.reshape(ops.transpose(matched), (h, w, c4)))
 
-
-def dump_matching_debug(s: SimilarityMap, matched: Tensor, prefix: str) -> list[str]:
-    """Write the normalized similarity and matched-feature energy as PGMs.
-
-    Returns the paths written. Grayscale is min-max scaled per raster, so
-    these are for inspection only.
-    """
-    if not s.normalized:
-        raise ValueError("debug dump expects a normalized similarity map")
-
-    def to_byte(arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        span = arr.max() - arr.min()
-        unit = (arr - arr.min()) / span if span > 0 else np.zeros_like(arr)
-        return np.rint(unit * 255.0).astype(np.uint8)
-
-    paths = [f"{prefix}_similarity.pgm", f"{prefix}_energy.pgm"]
-    netpbm.write_pgm(paths[0], to_byte(s.matrix.array))
-    energy = np.sqrt((matched.array ** 2).sum(axis=0, keepdims=True))  # (1, N)
-    netpbm.write_pgm(paths[1], to_byte(energy))
-    return paths

@@ -7,6 +7,8 @@ operand layouts only: identical shapes, or one operand with a single
 element broadcast against the other.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .autodiff import resolve_tape
@@ -111,7 +113,8 @@ def softplus(x) -> Tensor:
     tape = resolve_tape(x)
     if tape is None:
         return Tensor(out)
-    return tape.record("softplus", (x,), out, lambda g: (g * _sigmoid(x.array),))
+    x_arr = x.array  # not x: a closure over a taped input would tie its tape into a cycle
+    return tape.record("softplus", (x,), out, lambda g: (g * _sigmoid(x_arr),))
 
 
 def total_sum(x) -> Tensor:
@@ -204,9 +207,9 @@ def softmax_columns(m) -> Tensor:
     M = m.array
     if not np.all(np.isfinite(M)):
         raise NumericError("softmax_columns: input contains non-finite values")
-    z = M - M.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=0, keepdims=True)
+    out = M - M.max(axis=0, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
     tape = resolve_tape(m)
     if tape is None:
         return Tensor(out)
@@ -217,22 +220,27 @@ def softmax_columns(m) -> Tensor:
     return tape.record("softmax_columns", (m,), out, vjp)
 
 
+def _pad_spatial(arr: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad the two spatial axes; always returns a fresh C-contiguous array."""
+    h, w, c = arr.shape
+    out = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
+    out[pad : pad + h, pad : pad + w, :] = arr
+    return out
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    c = xp.shape[2]
-    cols = np.empty((oh, ow, kh, kw, c), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j, :] = xp[i : i + stride * oh : stride, j : j + stride * ow : stride, :]
-    return cols.reshape(oh * ow, kh * kw * c)
-
-
-def _col2im(dcols: np.ndarray, shape_p, kh, kw, stride, oh, ow) -> np.ndarray:
-    dxp = np.zeros(shape_p, dtype=np.float64)
-    d = dcols.reshape(oh, ow, kh, kw, shape_p[2])
-    for i in range(kh):
-        for j in range(kw):
-            dxp[i : i + stride * oh : stride, j : j + stride * ow : stride, :] += d[:, :, i, j, :]
-    return dxp
+    # For a C-contiguous (H, W, C) map, the kw taps of one kernel row are kw*C
+    # consecutive values, so the patch matrix is a strided view of the map
+    # and one copy lays it out as rows of (kh, kw, C).
+    _, wp, c = xp.shape
+    s = xp.itemsize
+    patches = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(oh, ow, kh, kw * c),
+        strides=(stride * wp * c * s, stride * c * s, wp * c * s, s),
+        writeable=False,
+    )
+    return patches.reshape(oh * ow, kh * kw * c)
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
@@ -265,32 +273,46 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
 
-    xp = np.pad(x.array, ((pad, pad), (pad, pad), (0, 0))) if pad else x.array
+    xp = _pad_spatial(x.array, pad) if pad else np.ascontiguousarray(x.array)
     cols = _im2col(xp, kh, kw, stride, oh, ow)
     wmat = w.array.reshape(kh * kw * cin, cout)
-    out = (cols @ wmat + b.array).reshape(oh, ow, cout)
+    out = cols @ wmat
+    out += b.array
+    out = out.reshape(oh, ow, cout)
 
     tape = resolve_tape(x, w, b)
     if tape is None:
         return Tensor(out)
+    # an image fed to the first layer is a constant: its adjoint is never read
+    needs_dx = x.tape is tape
+    wtaps = w.array
 
     def vjp(g):
         g2 = g.reshape(oh * ow, cout)
         dw = (cols.T @ g2).reshape(kh, kw, cin, cout)
         db = g2.sum(axis=0)
-        dxp = _col2im(g2 @ wmat.T, xp.shape, kh, kw, stride, oh, ow)
+        if not needs_dx:
+            return (None, dw, db)
+        # one tap at a time, so each product is contiguous and lands in the
+        # padded map with a single strided add
+        dxp = np.zeros(xp.shape, dtype=np.float64)
+        for i in range(kh):
+            for j in range(kw):
+                tap = (g2 @ wtaps[i, j].T).reshape(oh, ow, cin)
+                dxp[i : i + stride * oh : stride, j : j + stride * ow : stride, :] += tap
         dx = dxp[pad : pad + h, pad : pad + wd, :] if pad else dxp
         return (dx, dw, db)
 
     return tape.record("conv2d", (x, w, b), out, vjp)
 
 
+@lru_cache(maxsize=64)
 def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     """Rows hold the two-tap blend producing each output sample.
 
     Sample positions follow the half-pixel-center convention: output pixel
     i reads from source position (i + 0.5) * n_in / n_out - 0.5, clamped to
-    the valid range.
+    the valid range. The matrix is cached per size pair and read-only.
     """
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
@@ -301,6 +323,7 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     rows = np.arange(n_out)
     np.add.at(m, (rows, i0), 1.0 - frac)
     np.add.at(m, (rows, i1), frac)
+    m.flags.writeable = False
     return m
 
 

@@ -1,4 +1,4 @@
-"""Independent reference implementations used by the tests.
+"""Loop reference implementations shared by ``npmca verify`` and the tests.
 
 Everything here is written as direct loops over the defining formulas and
 never calls into the package's vectorized code, so agreement between the

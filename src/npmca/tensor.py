@@ -71,7 +71,7 @@ def from_flat(data, shape) -> Tensor:
 
 
 class ParamTensor:
-    """Named trainable value with a gradient accumulator.
+    """Named model parameter with a gradient accumulator.
 
     ``gradient`` always has the shape of ``value``. Backward passes add
     into it; call ``zero_grad`` between optimizer steps. The value is
@@ -79,13 +79,12 @@ class ParamTensor:
     intact.
     """
 
-    __slots__ = ("name", "value", "gradient", "trainable")
+    __slots__ = ("name", "value", "gradient")
 
-    def __init__(self, name: str, values, trainable: bool = True):
+    def __init__(self, name: str, values):
         self.name = name
         self.value = values if isinstance(values, Tensor) else Tensor(values)
         self.gradient = zeros(self.value.shape)
-        self.trainable = trainable
 
     def zero_grad(self) -> None:
         self.gradient.array[...] = 0.0

@@ -47,8 +47,6 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         for name, p in self.params.items():
-            if not p.trainable:
-                continue
             g = p.gradient.array
             m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
             v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * g * g

@@ -1,20 +1,20 @@
 """Self-contained invariant suite behind ``npmca verify``.
 
-Every check carries its own tiny reference implementation (plain loops,
-scalar math) so the suite stays meaningful without the development test
-tree. Checks call the public modules through their namespaces, so a
-regression anywhere in the package is caught here rather than papered
-over by stale local aliases.
+Checks compare the vectorized code against the loop reference
+implementations in ``npmca.oracles`` (the same ones the tests use) or
+against hand-derived values, so the suite stays meaningful without the
+development test tree. Checks call the public modules through their
+namespaces, so a regression anywhere in the package is caught here rather
+than papered over by stale local aliases.
 """
 
 import io
-import math
 import os
 import tempfile
 
 import numpy as np
 
-from . import attention, matching, ops, propagation
+from . import attention, matching, ops, oracles, propagation
 from .autodiff import Tape
 from .datagen import sample_triplet_indices
 from .matching import FeatureMap
@@ -37,71 +37,13 @@ class CheckResult:
         return f"[{flag}] {self.name:<34} measured {self.measured} vs {self.threshold}"
 
 
-# --- miniature reference implementations --------------------------------------
-
-
-def _loop_matmul(a, b):
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = sum(a[i, t] * b[t, j] for t in range(k))
-    return out
-
-
-def _loop_softmax_cols(m):
-    rows, cols = m.shape
-    out = np.zeros((rows, cols))
-    for j in range(cols):
-        top = max(m[:, j])
-        exps = [math.exp(v - top) for v in m[:, j]]
-        s = sum(exps)
-        out[:, j] = [e / s for e in exps]
-    return out
-
-
-def _loop_conv2d(x, w, b, stride, pad):
-    h, wd, cin = x.shape
-    kh, kw, _, cout = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    out = np.zeros((oh, ow, cout))
-    for oy in range(oh):
-        for ox in range(ow):
-            for oc in range(cout):
-                acc = b[oc]
-                for ky in range(kh):
-                    for kx in range(kw):
-                        iy, ix = oy * stride + ky - pad, ox * stride + kx - pad
-                        if 0 <= iy < h and 0 <= ix < wd:
-                            acc += float(x[iy, ix] @ w[ky, kx, :, oc])
-                out[oy, ox, oc] = acc
-    return out
-
-
-def _fd(loss_fn, values, idx, h=1e-6):
-    flat = values.reshape(-1)
-    keep = flat[idx]
-    flat[idx] = keep + h
-    up = loss_fn()
-    flat[idx] = keep - h
-    down = loss_fn()
-    flat[idx] = keep
-    return (up - down) / (2.0 * h)
-
-
-def _rel(a, b, floor=1e-4):
-    return abs(a - b) / max(abs(a), abs(b), floor)
-
-
 # --- checks --------------------------------------------------------------------
 
 
 def check_matmul_oracle() -> CheckResult:
     rng = make_rng(101)
     a, b = rng.standard_normal((12, 9)), rng.standard_normal((9, 7))
-    diff = float(np.abs(ops.matmul(Tensor(a), Tensor(b)).array - _loop_matmul(a, b)).max())
+    diff = float(np.abs(ops.matmul(Tensor(a), Tensor(b)).array - oracles.matmul_loops(a, b)).max())
     return CheckResult("matmul_loop_oracle", diff < 1e-10, f"{diff:.2e}", "< 1e-10")
 
 
@@ -132,7 +74,7 @@ def check_conv2d_oracle() -> CheckResult:
     w = rng.standard_normal((3, 3, 3, 4))
     b = rng.standard_normal(4)
     got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, pad=1).array
-    diff = float(np.abs(got - _loop_conv2d(x, w, b, 2, 1)).max())
+    diff = float(np.abs(got - oracles.conv2d_loops(x, w, b, 2, 1)).max())
     return CheckResult("conv2d_loop_oracle", diff < 1e-10, f"{diff:.2e}", "< 1e-10")
 
 
@@ -197,7 +139,8 @@ def check_model_gradient_audit() -> CheckResult:
     for p in params.named_parameters().values():
         flat = p.gradient.array.reshape(-1)
         idx = int(np.abs(flat).argmax())
-        worst = max(worst, _rel(flat[idx], _fd(run_loss, p.value.array, idx)))
+        fd = oracles.finite_difference(run_loss, p.value.array, [idx])[0]
+        worst = max(worst, oracles.relative_error(flat[idx], fd))
     return CheckResult("model_gradient_audit_small", worst < 1e-5, f"{worst:.2e}", "< 1e-5")
 
 
@@ -212,12 +155,11 @@ def check_nlpmm_oracle() -> CheckResult:
     rng = make_rng(109)
     f_ref, f_tar, params = _random_nlpmm(rng)
     got = matching.nlpmm_forward(f_ref, f_tar, params).tensor.array
-    r_ref = _loop_conv2d(f_ref.tensor.array, params.reduce_ref_w.value.array, params.reduce_ref_b.value.array, 1, 1)
-    r_tar = _loop_conv2d(f_tar.tensor.array, params.reduce_tar_w.value.array, params.reduce_tar_b.value.array, 1, 1)
-    ref, tar = r_ref.reshape(20, 2), r_tar.reshape(20, 2)
-    sim_n = _loop_softmax_cols(_loop_matmul(ref, tar.T))
-    matched = _loop_matmul(ref.T, sim_n)
-    want = matched.T.reshape(4, 5, 2)
+    want = oracles.nlpmm_loops(
+        f_ref.tensor.array, f_tar.tensor.array,
+        params.reduce_ref_w.value.array, params.reduce_ref_b.value.array,
+        params.reduce_tar_w.value.array, params.reduce_tar_b.value.array,
+    )
     diff = float(np.abs(got - want).max())
     return CheckResult("nlpmm_monolithic_oracle", diff < 1e-10, f"{diff:.2e}", "< 1e-10")
 
@@ -254,9 +196,7 @@ def check_cm_oracle() -> CheckResult:
     f_in = FeatureMap(Tensor(rng.standard_normal((4, 5, 4))))
     state = attention.init_cm_state("check", raw=0.3)
     got = attention.cm_forward(f_in, state).tensor.array
-    flat = f_in.tensor.array.reshape(20, 4)
-    gram_n = _loop_softmax_cols(_loop_matmul(flat.T, flat))
-    want = (state.gamma() * _loop_matmul(flat, gram_n) + flat).reshape(4, 5, 4)
+    want = oracles.cm_loops(f_in.tensor.array, state.gamma())
     diff = float(np.abs(got - want).max())
     return CheckResult("cm_monolithic_oracle", diff < 1e-10, f"{diff:.2e}", "< 1e-10")
 
@@ -329,7 +269,9 @@ def check_iou_loss_gradient() -> CheckResult:
     pred = tape.watch(values)
     grads = tape.backward(iou_loss(pred, gt))
     flat = grads.of(pred).reshape(-1)
-    worst = max(_rel(flat[i], _fd(run, values, i)) for i in range(0, 64, 9))
+    idx = range(0, 64, 9)
+    fd = oracles.finite_difference(run, values, idx)
+    worst = max(oracles.relative_error(flat[i], d) for i, d in zip(idx, fd))
     return CheckResult("iou_loss_gradient", worst < 1e-6, f"{worst:.2e}", "< 1e-6")
 
 

@@ -9,7 +9,6 @@ from npmca.attention import (
     CmState,
     channel_attention_map,
     cm_forward,
-    dump_attention_debug,
     init_cm_state,
     strengthen,
 )
@@ -18,7 +17,7 @@ from npmca.matching import FeatureMap
 from npmca.rng import make_rng
 from npmca.tensor import ParamTensor, Tensor
 
-import oracles
+from npmca import oracles
 
 
 class TestChannelAttentionMap:
@@ -152,12 +151,3 @@ class TestCmGradients:
 
         fd_raw = oracles.finite_difference(lambda: run()[0].item(), state.raw_gamma.value.array, [0])
         assert oracles.relative_error(g_raw, fd_raw[0]) < 1e-5
-
-
-def test_attention_debug_dump(tmp_path):
-    rng = make_rng(30)
-    a = channel_attention_map(Tensor(rng.normal(size=(9, 4))))
-    path = dump_attention_debug(a, str(tmp_path / "attn.pgm"))
-    from npmca.netpbm import read_pgm
-
-    assert read_pgm(path).shape == (4, 4)

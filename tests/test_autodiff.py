@@ -1,5 +1,8 @@
 """Reverse-mode differentiation against finite-difference oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,9 +10,11 @@ from numpy.testing import assert_allclose
 from npmca import ops
 from npmca.autodiff import Tape
 from npmca.errors import GraphStateError, ShapeError
+from npmca.metrics import iou_loss
+from npmca.model import ModelConfig, forward_single_object, init_model_params
 from npmca.tensor import ParamTensor, Tensor
 
-import oracles
+from npmca import oracles
 
 
 def test_sum_of_squares_gradient():
@@ -50,6 +55,25 @@ def test_shared_param_used_twice_sums_contributions():
     loss = ops.total_sum(ops.mul(v, w))  # p^2
     tape.backward(loss)
     assert_allclose(p.gradient.array, [4.0])
+
+
+def test_training_tape_is_freed_by_reference_counting():
+    """A sample's tape and its saved activations go as soon as the caller
+    drops them, without waiting for the cycle collector."""
+    params = init_model_params(0, ModelConfig(stage_channels=(4, 6, 8)))
+    rng = np.random.default_rng(0)
+    first, prev, cur = (rng.uniform(size=(8, 8, 3)) for _ in range(3))
+    guidance = rng.uniform(size=(8, 8))
+    gc.disable()
+    try:
+        tape = Tape()
+        prob = forward_single_object(params, first, prev, cur, guidance, tape=tape)
+        tape.backward(iou_loss(prob, (guidance > 0.5).astype(float)))
+        alive = weakref.ref(tape)
+        del tape, prob
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_backward_before_forward_is_state_error():
@@ -181,3 +205,33 @@ class TestPerOpGradients:
     def test_transpose_gradient(self):
         probe = self.r.normal(size=(4, 3))
         _fd_check(lambda v: ops.total_sum(ops.mul(ops.transpose(v), Tensor(probe))), self.r.normal(size=(3, 4)))
+
+
+@pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (3, 1, 0), (1, 1, 0), (1, 1, 1), (5, 2, 2)])
+def test_conv2d_adjoints_match_loop_oracle(k, stride, pad):
+    # conv2d is linear in x and in w, so the adjoint of <conv2d, probe> at
+    # each entry is the oracle's response to a unit input at that entry
+    local = np.random.default_rng(k * 100 + stride * 10 + pad)
+    x = local.normal(size=(5, 7, 2))
+    w = local.normal(size=(k, k, 2, 3))
+    b = local.normal(size=3)
+    tape = Tape()
+    xv, wv, bv = tape.watch(x), tape.watch(w), tape.watch(b)
+    out = ops.conv2d(xv, wv, bv, stride=stride, pad=pad)
+    probe = local.normal(size=out.shape)
+    grads = tape.backward(ops.total_sum(ops.mul(out, Tensor(probe))))
+
+    def unit_responses(shape, conv_of_unit):
+        ref = np.zeros(shape)
+        for idx in np.ndindex(*shape):
+            unit = np.zeros(shape)
+            unit[idx] = 1.0
+            ref[idx] = np.sum(conv_of_unit(unit) * probe)
+        return ref
+
+    zero_b = np.zeros(3)
+    dx = unit_responses(x.shape, lambda u: oracles.conv2d_loops(u, w, zero_b, stride=stride, pad=pad))
+    dw = unit_responses(w.shape, lambda u: oracles.conv2d_loops(x, u, zero_b, stride=stride, pad=pad))
+    assert_allclose(grads.of(xv), dx, atol=1e-12, rtol=0)
+    assert_allclose(grads.of(wv), dw, atol=1e-12, rtol=0)
+    assert_allclose(grads.of(bv), probe.sum(axis=(0, 1)), atol=1e-12, rtol=0)

@@ -80,6 +80,10 @@ class TestGen:
     def test_missing_required_flag_is_usage_error(self):
         assert run_cli(["gen", "--n", 2]) == 2
 
+    def test_bad_resolution_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(["gen", "--n", 1, "--out", str(tmp_path / "x"), "--resolution", "abc"]) == 2
+        assert "HxW" in capsys.readouterr().err
+
     def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
         plain = str(tmp_path / "plain")
         assert run_cli(["gen", "--n", 1, "--out", plain, "--seed", 99, "--resolution", "32x48", "--frames", 4]) == 0
@@ -111,6 +115,16 @@ class TestTrain:
         lines = open(os.path.join(trained, "run.cfg"), encoding="utf-8").read().splitlines()
         assert "stage=pretrain" in lines
         assert "lr=0.0001" in lines
+
+    @pytest.mark.parametrize("line", ["iterations=0", "batch=0"])
+    def test_config_values_are_checked_like_flags(self, trained, tmp_path, capsys, line):
+        key = line.split("=")[0]
+        kept = [r for r in open(os.path.join(trained, "run.cfg"), encoding="utf-8") if not r.startswith(key + "=")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(kept) + line + "\n", encoding="utf-8")
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert "positive count" in err and "Traceback" not in err
 
     def test_finetune_without_init_is_usage_error(self, dataset, tmp_path, capsys):
         code = run_cli(["train", "--data", dataset, "--out", str(tmp_path / "x"), "--stage", "finetune", "--iterations", 1])
@@ -182,6 +196,12 @@ class TestInfer:
                             "--sequence", "seq00002"] + extra)
             assert code == 0
             assert len(os.listdir(os.path.join(out, "seq00002"))) == 6
+
+    def test_bad_scales_is_usage_error(self, dataset, trained, tmp_path, capsys):
+        code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                        "--out", str(tmp_path / "x"), "--scales", "abc"])
+        assert code == 2
+        assert "comma-separated floats" in capsys.readouterr().err
 
     def test_missing_first_mask_is_data_error(self, dataset, trained, tmp_path, capsys):
         bare = tmp_path / "bare" / "seq00000"

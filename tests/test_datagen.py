@@ -19,7 +19,6 @@ from npmca.datagen import (
     parse_scene_cfg,
     random_affine,
     random_scene,
-    sample_training_triplet,
     sample_triplet_indices,
     synth_pretrain_pair,
     warp_pair,
@@ -304,14 +303,3 @@ class TestTripletSampling:
             sample_triplet_indices(2, 5, rng)
         with pytest.raises(ValueError):
             sample_triplet_indices(10, 0, rng)
-
-    def test_training_triplet_is_temporal_and_reproducible(self):
-        video = generate_sequence(disc_scene(), 4)
-        a = sample_training_triplet(video, 5, 7)
-        b = sample_training_triplet(video, 5, 7)
-        assert len(a) == 3
-        for (fa, ma), (fb, mb) in zip(a, b):
-            assert np.array_equal(fa, fb) and np.array_equal(ma, mb)
-        assert np.array_equal(a[0][0], video.frames[0])
-        with pytest.raises(ValueError):
-            sample_training_triplet(VideoSequence("x", video.frames, None), 5, 0)

@@ -10,7 +10,6 @@ from npmca.errors import ConfigError, ShapeError
 from npmca.matching import (
     FeatureMap,
     NlpmmParams,
-    dump_matching_debug,
     flatten_grid,
     init_nlpmm_params,
     match,
@@ -22,7 +21,7 @@ from npmca.matching import (
 from npmca.rng import make_rng
 from npmca.tensor import ParamTensor, Tensor
 
-import oracles
+from npmca import oracles
 
 
 def random_params(rng, channels) -> NlpmmParams:
@@ -71,15 +70,14 @@ class TestSimilarity:
         f[0, 1] = [0.0, 2.0]
         flat = flatten_grid(FeatureMap(Tensor(f)))
         s = similarity(flat, flat)
-        assert not s.normalized
-        assert_allclose(s.matrix.array, [[1.0, 0.0], [0.0, 4.0]])
+        assert_allclose(s.array, [[1.0, 0.0], [0.0, 4.0]])
 
     def test_matches_loop_oracle(self):
         rng = make_rng(2)
         a = rng.normal(size=(6, 3))
         b = rng.normal(size=(6, 3))
         s = similarity(Tensor(a), Tensor(b))
-        assert_allclose(s.matrix.array, oracles.matmul_loops(a, b.T), atol=1e-12, rtol=0)
+        assert_allclose(s.array, oracles.matmul_loops(a, b.T), atol=1e-12, rtol=0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -89,8 +87,7 @@ class TestSimilarity:
         rng = make_rng(3)
         s = similarity(Tensor(rng.normal(size=(8, 2))), Tensor(rng.normal(size=(8, 2))))
         n = normalize_similarity(s)
-        assert n.normalized
-        assert_allclose(n.matrix.array.sum(axis=0), np.ones(8), atol=1e-9, rtol=0)
+        assert_allclose(n.array.sum(axis=0), np.ones(8), atol=1e-9, rtol=0)
 
 
 class TestMatch:
@@ -100,9 +97,7 @@ class TestMatch:
         s[2, 0] = 1.0
         s[0, 1] = 1.0
         s[1, 2] = 1.0
-        from npmca.matching import SimilarityMap
-
-        out = match(Tensor(ref), SimilarityMap(Tensor(s), normalized=True)).array
+        out = match(Tensor(ref), Tensor(s)).array
         assert_allclose(out[:, 0], ref[2])
         assert_allclose(out[:, 1], ref[0])
         assert_allclose(out[:, 2], ref[1])
@@ -111,17 +106,9 @@ class TestMatch:
         rng = make_rng(4)
         ref = rng.normal(size=(5, 3))
         s = np.full((5, 5), 0.2)
-        from npmca.matching import SimilarityMap
-
-        out = match(Tensor(ref), SimilarityMap(Tensor(s), normalized=True)).array
+        out = match(Tensor(ref), Tensor(s)).array
         for j in range(5):
             assert_allclose(out[:, j], ref.mean(axis=0), atol=1e-12)
-
-    def test_unnormalized_map_rejected(self):
-        from npmca.matching import SimilarityMap
-
-        with pytest.raises(ValueError):
-            match(Tensor(np.zeros((2, 2))), SimilarityMap(Tensor(np.zeros((2, 2)))))
 
 
 class TestNlpmmForward:
@@ -244,16 +231,3 @@ class TestNlpmmGradients:
 def test_init_rejects_bad_channel_count():
     with pytest.raises(ConfigError):
         init_nlpmm_params(make_rng(0), 6, "x")
-
-
-def test_debug_dump_writes_readable_rasters(tmp_path):
-    rng = make_rng(12)
-    ref_flat = Tensor(rng.normal(size=(6, 2)))
-    tar_flat = Tensor(rng.normal(size=(6, 2)))
-    s = normalize_similarity(similarity(ref_flat, tar_flat))
-    matched = match(ref_flat, s)
-    paths = dump_matching_debug(s, matched, str(tmp_path / "dbg"))
-    from npmca.netpbm import read_pgm
-
-    assert read_pgm(paths[0]).shape == (6, 6)
-    assert read_pgm(paths[1]).shape == (1, 6)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import oracles
+from npmca import oracles
 from npmca.autodiff import Tape
 from npmca.errors import ShapeError
 from npmca.metrics import (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import oracles
+from npmca import oracles
 from npmca import ops
 from npmca.autodiff import Tape
 from npmca.errors import ConfigError, FormatError, ShapeError

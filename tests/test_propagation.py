@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import oracles
+from npmca import oracles
 from npmca.datagen import generate_sequence, random_scene
 from npmca.errors import ShapeError
 from npmca.model import ModelConfig, init_model_params

@@ -10,7 +10,7 @@ from npmca import ops
 from npmca.errors import NumericError, ShapeError
 from npmca.tensor import Tensor, from_flat
 
-import oracles
+from npmca import oracles
 
 
 rng = np.random.default_rng(42)
