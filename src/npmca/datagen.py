@@ -28,6 +28,10 @@ from .rng import make_rng, spawn_rng
 from .tensor import Tensor
 
 SHAPES = ("disc", "rectangle", "triangle")
+# The smallest height and width ``random_scene`` places objects into for
+# every seed: the occlusion preset's crossing object needs a side of at least
+# 2 * 1.25 * (0.15 * side + 2) + 2, that is 11.2 pixels.
+MIN_SCENE_SIDE = 12
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ inner-product similarity matrix S = ref @ tar^T. Softmax over each column
 (the reference index) turns S into per-target-pixel mixing weights, and
 the matched feature for a target pixel is the corresponding convex
 combination of reduced reference features.
+
+Untaped, as at inference, ``nlpmm_forward`` computes S into one fresh
+(N, N) array, softmaxes its columns in place and blends from it, so a
+match allocates one N^2 buffer; the result is the same bit for bit as the
+taped composition of ``similarity``, ``normalize_similarity`` and
+``match``, which keeps S for the backward pass.
 """
 
 from dataclasses import dataclass
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .autodiff import use_param
+from .autodiff import resolve_tape, use_param
 from .errors import ConfigError, ShapeError
 from .tensor import ParamTensor, Tensor
 
@@ -135,8 +141,13 @@ def nlpmm_forward(f_ref: FeatureMap, f_tar: FeatureMap, params: NlpmmParams, tap
     r_tar = reduce_channels(f_tar, params.reduce_tar_w, params.reduce_tar_b, tape)
     ref_flat = flatten_grid(r_ref)
     tar_flat = flatten_grid(r_tar)
-    s = normalize_similarity(similarity(ref_flat, tar_flat))
-    matched = match(ref_flat, s)  # (C/4, N)
+    if resolve_tape(ref_flat, tar_flat) is None:
+        ref = ref_flat.array
+        s = ref @ tar_flat.array.T
+        matched = Tensor(ref.T @ ops._softmax_columns(s, out=s))
+    else:
+        s = normalize_similarity(similarity(ref_flat, tar_flat))
+        matched = match(ref_flat, s)  # (C/4, N)
     h, w, c4 = r_tar.tensor.shape
     return FeatureMap(ops.reshape(ops.transpose(matched), (h, w, c4)))
 

@@ -195,6 +195,17 @@ def matmul(a, b) -> Tensor:
     return tape.record("matmul", (a, b), out, lambda g: (g @ B.T, A.T @ g))
 
 
+def _softmax_columns(m: np.ndarray, out=None) -> np.ndarray:
+    """Column softmax of a finite matrix, written into ``out`` (which may be
+    ``m`` itself) or into a fresh array when ``out`` is None."""
+    if not np.all(np.isfinite(m)):
+        raise NumericError("softmax_columns: input contains non-finite values")
+    out = np.subtract(m, m.max(axis=0, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+    return out
+
+
 def softmax_columns(m) -> Tensor:
     """Softmax over the first axis, so every column sums to one.
 
@@ -204,12 +215,7 @@ def softmax_columns(m) -> Tensor:
     m = _as_tensor(m)
     if m.ndim != 2:
         raise ShapeError(f"softmax_columns expects a matrix, got shape {m.shape}")
-    M = m.array
-    if not np.all(np.isfinite(M)):
-        raise NumericError("softmax_columns: input contains non-finite values")
-    out = M - M.max(axis=0, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=0, keepdims=True)
+    out = _softmax_columns(m.array)
     tape = resolve_tape(m)
     if tape is None:
         return Tensor(out)
@@ -336,11 +342,28 @@ def _apply_separable(arr: np.ndarray, mh: np.ndarray, mw: np.ndarray) -> np.ndar
     return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
+def _halve(arr: np.ndarray) -> np.ndarray:
+    # The mean of each 2x2 window, summed in the order the two interpolation
+    # GEMMs sum it, so the result equals theirs bit for bit.
+    rows = arr[0::2] + arr[1::2]
+    out = rows[:, 0::2] + rows[:, 1::2]
+    out *= 0.25
+    return out
+
+
+def _halve_adjoint(g: np.ndarray) -> np.ndarray:
+    oh, ow, c = g.shape
+    quarter = np.broadcast_to((0.25 * g)[:, None, :, None, :], (oh, 2, ow, 2, c))
+    return quarter.reshape(2 * oh, 2 * ow, c)
+
+
 def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
     """Resample a (H, W, C) map to (out_h, out_w, C) bilinearly.
 
     Uses half-pixel source centers and clamps at the borders, so resizing
-    to the same size is the identity and constants stay constant.
+    to the same size is the identity and constants stay constant. Halving
+    both sides reads every source pixel at weight 1/4, so that case is the
+    2x2 window mean, computed without the interpolation matrices.
     """
     x = _as_tensor(x)
     if x.ndim != 3:
@@ -350,17 +373,20 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize: output size {out_h}x{out_w} must be positive")
     h, w, _ = x.shape
-    mh = _interp_matrix(h, out_h)
-    mw = _interp_matrix(w, out_w)
-    out = _apply_separable(x.array, mh, mw)
+    if (h, w) == (2 * out_h, 2 * out_w):
+        out, adjoint = _halve(x.array), _halve_adjoint
+    else:
+        mh = _interp_matrix(h, out_h)
+        mw = _interp_matrix(w, out_w)
+        out = _apply_separable(x.array, mh, mw)
+
+        def adjoint(g):
+            return _apply_separable(np.ascontiguousarray(g), mh.T, mw.T)
+
     tape = resolve_tape(x)
     if tape is None:
         return Tensor(out)
-
-    def vjp(g):
-        return (_apply_separable(np.ascontiguousarray(g), mh.T, mw.T),)
-
-    return tape.record("bilinear_resize", (x,), out, vjp)
+    return tape.record("bilinear_resize", (x,), out, lambda g: (adjoint(g),))
 
 
 def resize_plane(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

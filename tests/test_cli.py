@@ -84,6 +84,14 @@ class TestGen:
         assert run_cli(["gen", "--n", 1, "--out", str(tmp_path / "x"), "--resolution", "abc"]) == 2
         assert "HxW" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resolution", ["30x50", "0x96"])
+    def test_resolution_outside_the_rule_is_usage_error(self, tmp_path, capsys, resolution):
+        assert run_cli(["gen", "--n", 1, "--out", str(tmp_path / "x"), "--resolution", resolution]) == 2
+        err = capsys.readouterr().err
+        assert "multiples of 4 and at least 12" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x")
+
     def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
         plain = str(tmp_path / "plain")
         assert run_cli(["gen", "--n", 1, "--out", plain, "--seed", 99, "--resolution", "32x48", "--frames", 4]) == 0

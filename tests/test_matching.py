@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from npmca import ops
 from npmca.autodiff import Tape
-from npmca.errors import ConfigError, ShapeError
+from npmca.errors import ConfigError, NumericError, ShapeError
 from npmca.matching import (
     FeatureMap,
     NlpmmParams,
@@ -177,6 +177,28 @@ class TestNlpmmForward:
             Tensor(ref_flat), normalize_similarity(similarity(Tensor(ref_flat), Tensor(tar_flat[perm])))
         ).array
         assert_allclose(permuted, base[:, perm], atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("grid", [(12, 18), (16, 24), (20, 30), (32, 48)])
+    def test_untaped_path_equals_composition_bitwise(self, grid):
+        # the feature grids of both benchmark inference workloads, at C = 64
+        rng = make_rng(12)
+        f_ref = FeatureMap(Tensor(rng.normal(size=(*grid, 64))))
+        f_tar = FeatureMap(Tensor(rng.normal(size=(*grid, 64))))
+        p = random_params(rng, 64)
+        got = nlpmm_forward(f_ref, f_tar, p).tensor.array
+        ref_flat = flatten_grid(reduce_channels(f_ref, p.reduce_ref_w, p.reduce_ref_b))
+        tar_flat = flatten_grid(reduce_channels(f_tar, p.reduce_tar_w, p.reduce_tar_b))
+        want = match(ref_flat, normalize_similarity(similarity(ref_flat, tar_flat))).array
+        assert got.tobytes() == want.T.reshape(got.shape).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_untaped_path_rejects_non_finite_features(self):
+        rng = make_rng(13)
+        f_tar = rng.normal(size=(4, 5, 8))
+        f_tar[2, 3, 1] = np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            nlpmm_forward(FeatureMap(Tensor(rng.normal(size=(4, 5, 8)))), FeatureMap(Tensor(f_tar)),
+                          random_params(rng, 8))
 
     def test_shape_mismatch_rejected(self):
         rng = make_rng(10)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from npmca import ops
+from npmca.autodiff import Tape
 from npmca.errors import NumericError, ShapeError
 from npmca.tensor import Tensor, from_flat
 
@@ -189,10 +190,25 @@ class TestBilinearResize:
         out = ops.bilinear_resize(Tensor(x), 1, 4).array[0, :, 0]
         assert_allclose(out, [0.0, 0.25, 0.75, 1.0], atol=0, rtol=0)
 
-    def test_matches_gather_oracle(self):
-        x = rng.normal(size=(6, 9, 3))
-        got = ops.bilinear_resize(Tensor(x), 11, 4).array
-        assert_allclose(got, oracles.bilinear_gather(x, 11, 4), atol=1e-12, rtol=0)
+    @pytest.mark.parametrize("shape, out_hw", [((6, 9, 3), (11, 4)), ((6, 8, 3), (3, 5))])
+    def test_matches_gather_oracle(self, shape, out_hw):
+        x = rng.normal(size=shape)
+        got = ops.bilinear_resize(Tensor(x), *out_hw).array
+        assert_allclose(got, oracles.bilinear_gather(x, *out_hw), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("shape", [(64, 96, 16), (6, 8, 3)])
+    def test_halving_equals_interpolation_matrices_bitwise(self, shape):
+        h, w, _ = shape
+        x = np.maximum(rng.normal(size=shape), 0.0)  # ReLU-like, with exact zeros
+        mh = ops._interp_matrix(h, h // 2)
+        mw = ops._interp_matrix(w, w // 2)
+        tape = Tape()
+        xt = tape.watch(x)
+        y = ops.bilinear_resize(xt, h // 2, w // 2)
+        assert np.array_equal(y.array, ops._apply_separable(x, mh, mw))
+        g = rng.normal(size=y.shape)
+        grads = tape.backward(ops.total_sum(ops.mul(y, Tensor(g))))
+        assert np.array_equal(grads.of(xt), ops._apply_separable(g, mh.T, mw.T))
 
     def test_downsample_by_two_is_window_mean(self):
         x = rng.normal(size=(6, 8, 1))
