@@ -93,6 +93,11 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
+def metric_value(run: dict, name: str):
+    """A metric of one run's result, or None when the run printed none."""
+    return ((run["result"] or {}).get("metrics", {}).get(name) or {}).get("value")
+
+
 def quartiles(values) -> dict:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
@@ -117,7 +122,7 @@ def summarize(runs, end_to_end) -> dict:
             sides = {"base": [], "head": []}
             wins = 0
             for p in pairs.values():
-                vals = {s: (p[s]["result"] or {}).get("metrics", {}).get(name) for s in ("base", "head") if s in p}
+                vals = {s: metric_value(p[s], name) for s in ("base", "head") if s in p}
                 if None in vals.values() or len(vals) < 2:
                     continue
                 for s in sides:
@@ -150,9 +155,8 @@ def main(argv=None) -> int:
                     run = run_bench(checkouts[side], workload, seed, seconds)
                     report["runs"].append({"workload": workload, "pair": k, "seed": seed, "side": side,
                                            "first": order[0], **run})
-                    metrics = (run["result"] or {}).get("metrics", {})
                     print(f"{workload} pair {k} seed {seed} {side}: exit {run['returncode']}, "
-                          f"frame_object_ms_p50 {metrics.get('frame_object_ms_p50')}", file=sys.stderr, flush=True)
+                          f"frame_object_ms_p50 {metric_value(run, 'frame_object_ms_p50')}", file=sys.stderr, flush=True)
                 report["summary"] = summarize(report["runs"], bench["end_to_end"])
                 with open(args.out, "w", encoding="utf-8") as fh:  # rewritten after every pair
                     json.dump(report, fh, indent=1)
