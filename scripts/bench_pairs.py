@@ -4,7 +4,7 @@ Exports both revisions with ``git archive`` into fresh temporary
 directories, runs ``perfbench/run.py`` (untraced) in each for the given
 number of pairs per workload, and writes every run's last-line JSON, a
 per-metric summary and the machine's description to ``--out``. Pair k of a
-workload uses seed ``--first-seed + k`` on both sides; even pairs run the
+workload uses seed ``1 + k`` on both sides; even pairs run the
 base first, odd pairs the head first. Run length is ``run_seconds`` of the
 head's ``BENCHMARK.json``. Standard library only.
 
@@ -38,7 +38,6 @@ def parse_args(argv):
     parser.add_argument("plan", nargs="+", type=parse_plan, metavar="WORKLOAD=PAIRS")
     parser.add_argument("--base", default="HEAD~1", help="parent revision (default HEAD~1)")
     parser.add_argument("--head", default="HEAD", help="changed revision (default HEAD)")
-    parser.add_argument("--first-seed", dest="first_seed", type=int, default=1)
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--scratch", default=None, help="directory for the two exports (default: system temp)")
     return parser.parse_args(argv)
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
                   "machine": machine_info(), "runs": [], "summary": {}}
         for workload, count in args.plan:
             for k in range(count):
-                seed = args.first_seed + k
+                seed = 1 + k
                 order = ("base", "head") if k % 2 == 0 else ("head", "base")
                 for side in order:
                     run = run_bench(checkouts[side], workload, seed, seconds)

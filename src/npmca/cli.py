@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .datagen import (
-    MIN_SCENE_SIDE,
     format_scene_cfg,
     generate_sequence,
     list_sequences,
@@ -40,16 +39,14 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
-    """HxW with both sides multiples of 4 (the encoders halve twice) and at
-    least the smallest side every scene preset fits its objects into."""
+    """HxW with both sides multiples of 4, since the encoders halve twice;
+    ``random_scene`` enforces the smallest side."""
     try:
         h, w = (int(v) for v in text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected HxW such as 64x96, got {text!r}")
-    if h % 4 or w % 4 or min(h, w) < MIN_SCENE_SIDE:
-        raise argparse.ArgumentTypeError(
-            f"resolution {h}x{w}: height and width must be multiples of 4 and at least {MIN_SCENE_SIDE}"
-        )
+    if h % 4 or w % 4:
+        raise argparse.ArgumentTypeError(f"resolution {h}x{w}: height and width must be multiples of 4")
     return h, w
 
 

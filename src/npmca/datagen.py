@@ -180,8 +180,10 @@ def random_scene(seed: int, preset: str = "default", resolution=(64, 96), frames
     """
     if preset not in ("default", "occlusion-heavy"):
         raise ConfigError(f"unknown preset {preset!r}")
-    rng = spawn_rng(seed, 17)
     h, w = resolution
+    if min(h, w) < MIN_SCENE_SIDE:
+        raise ConfigError(f"resolution {h}x{w}: height and width must be at least {MIN_SCENE_SIDE}")
+    rng = spawn_rng(seed, 17)
 
     def draw_object(margin_frac=0.25):
         shape = SHAPES[rng.integers(len(SHAPES))]

@@ -144,7 +144,7 @@ def nlpmm_forward(f_ref: FeatureMap, f_tar: FeatureMap, params: NlpmmParams, tap
     if resolve_tape(ref_flat, tar_flat) is None:
         ref = ref_flat.array
         s = ref @ tar_flat.array.T
-        matched = Tensor(ref.T @ ops._softmax_columns(s, out=s))
+        matched = Tensor(ref.T @ ops.softmax_columns_inplace(s, out=s))
     else:
         s = normalize_similarity(similarity(ref_flat, tar_flat))
         matched = match(ref_flat, s)  # (C/4, N)

@@ -195,9 +195,11 @@ def matmul(a, b) -> Tensor:
     return tape.record("matmul", (a, b), out, lambda g: (g @ B.T, A.T @ g))
 
 
-def _softmax_columns(m: np.ndarray, out=None) -> np.ndarray:
-    """Column softmax of a finite matrix, written into ``out`` (which may be
-    ``m`` itself) or into a fresh array when ``out`` is None."""
+def softmax_columns_inplace(m: np.ndarray, out=None) -> np.ndarray:
+    """The numpy kernel of ``softmax_columns``, shared with the untaped
+    matching path: column softmax of a finite matrix, written into ``out``
+    (which may be ``m`` itself) or into a fresh array when ``out`` is None.
+    Raises ``NumericError`` on any non-finite entry."""
     if not np.all(np.isfinite(m)):
         raise NumericError("softmax_columns: input contains non-finite values")
     out = np.subtract(m, m.max(axis=0, keepdims=True), out=out)
@@ -215,7 +217,7 @@ def softmax_columns(m) -> Tensor:
     m = _as_tensor(m)
     if m.ndim != 2:
         raise ShapeError(f"softmax_columns expects a matrix, got shape {m.shape}")
-    out = _softmax_columns(m.array)
+    out = softmax_columns_inplace(m.array)
     tape = resolve_tape(m)
     if tape is None:
         return Tensor(out)

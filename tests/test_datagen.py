@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from npmca.datagen import (
+    MIN_SCENE_SIDE,
     AffineParams,
     ObjectSpec,
     OcclusionEvent,
@@ -134,6 +135,13 @@ class TestRandomScene:
             generate_sequence(a, 3)
         with pytest.raises(ConfigError):
             random_scene(3, "cinematic")
+
+    @pytest.mark.parametrize("preset", ["default", "occlusion-heavy"])
+    def test_sides_below_the_minimum_are_config_errors(self, preset):
+        for resolution in [(MIN_SCENE_SIDE - 1, 96), (64, 0), (6, 10)]:
+            with pytest.raises(ConfigError, match=f"at least {MIN_SCENE_SIDE}"):
+                random_scene(3, preset, resolution)
+        generate_sequence(random_scene(3, preset, (MIN_SCENE_SIDE, MIN_SCENE_SIDE)), 3)
 
     def test_occlusion_heavy_scenes_do_occlude(self):
         for seed in range(8):
