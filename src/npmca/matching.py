@@ -5,13 +5,8 @@ convolutions, flattened to (N, C/4) with N = H*W, and compared through the
 inner-product similarity matrix S = ref @ tar^T. Softmax over each column
 (the reference index) turns S into per-target-pixel mixing weights, and
 the matched feature for a target pixel is the corresponding convex
-combination of reduced reference features.
-
-Untaped, as at inference, ``nlpmm_forward`` computes S into one fresh
-(N, N) array, softmaxes its columns in place and blends from it, so a
-match allocates one N^2 buffer; the result is the same bit for bit as the
-taped composition of ``similarity``, ``normalize_similarity`` and
-``match``, which keeps S for the backward pass.
+combination of reduced reference features. Similarity, softmax and blend
+are one primitive, ``ops.softmax_match``, for training and inference alike.
 """
 
 from dataclasses import dataclass
@@ -19,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .autodiff import resolve_tape, use_param
+from .autodiff import use_param
 from .errors import ConfigError, ShapeError
 from .tensor import ParamTensor, Tensor
 
@@ -104,30 +99,6 @@ def flatten_grid(f: FeatureMap) -> Tensor:
     return ops.reshape(f.tensor, (f.pixels, f.channels))
 
 
-def similarity(ref_flat: Tensor, tar_flat: Tensor) -> Tensor:
-    """Inner products of every reference pixel (rows) with every target
-    pixel (columns)."""
-    if ref_flat.ndim != 2 or tar_flat.ndim != 2:
-        raise ShapeError(f"flattened features must be matrices, got {ref_flat.shape} and {tar_flat.shape}")
-    if ref_flat.shape != tar_flat.shape:
-        raise ShapeError(f"reference {ref_flat.shape} and target {tar_flat.shape} grids differ")
-    return ops.matmul(ref_flat, ops.transpose(tar_flat))
-
-
-def normalize_similarity(s: Tensor) -> Tensor:
-    """Softmax over the reference axis, one distribution per target pixel."""
-    return ops.softmax_columns(s)
-
-
-def match(ref_flat: Tensor, s: Tensor) -> Tensor:
-    """Blend reference features by the normalized similarity columns.
-
-    Returns (C/4, N): column j is the matched feature vector for target
-    pixel j, a convex combination of the reduced reference rows.
-    """
-    return ops.matmul(ops.transpose(ref_flat), s)
-
-
 def nlpmm_forward(f_ref: FeatureMap, f_tar: FeatureMap, params: NlpmmParams, tape=None) -> FeatureMap:
     """Full matching block: reduce both maps, compare, gather.
 
@@ -139,15 +110,7 @@ def nlpmm_forward(f_ref: FeatureMap, f_tar: FeatureMap, params: NlpmmParams, tap
         )
     r_ref = reduce_channels(f_ref, params.reduce_ref_w, params.reduce_ref_b, tape)
     r_tar = reduce_channels(f_tar, params.reduce_tar_w, params.reduce_tar_b, tape)
-    ref_flat = flatten_grid(r_ref)
-    tar_flat = flatten_grid(r_tar)
-    if resolve_tape(ref_flat, tar_flat) is None:
-        ref = ref_flat.array
-        s = ref @ tar_flat.array.T
-        matched = Tensor(ref.T @ ops.softmax_columns_inplace(s, out=s))
-    else:
-        s = normalize_similarity(similarity(ref_flat, tar_flat))
-        matched = match(ref_flat, s)  # (C/4, N)
+    matched = ops.softmax_match(flatten_grid(r_ref), flatten_grid(r_tar))  # (C/4, N)
     h, w, c4 = r_tar.tensor.shape
     return FeatureMap(ops.reshape(ops.transpose(matched), (h, w, c4)))
 

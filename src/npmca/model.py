@@ -225,12 +225,11 @@ def fuse(first_matched: FeatureMap, prev_matched: FeatureMap, p: ConvParams, tap
     return FeatureMap(out)
 
 
-def decode(fused: FeatureMap, skips: SkipStack, params: ModelParams, out_hw, tape=None) -> Tensor:
+def decode(fused: FeatureMap, skips: SkipStack, params: ModelParams, tape=None) -> Tensor:
     """Two skip-refinement stages back to image resolution, then a 1x1 head.
 
     Each stage concatenates the skip at its native resolution, convolves,
-    and doubles the resolution. A final bilinear resize guards the exact
-    output size for inputs whose halvings did not divide evenly.
+    and doubles the resolution.
     """
     if skips.s2.shape[:2] != fused.tensor.shape[:2]:
         raise ShapeError(f"skip s2 {skips.s2.shape} does not match fused map {fused.tensor.shape}")
@@ -246,10 +245,7 @@ def decode(fused: FeatureMap, skips: SkipStack, params: ModelParams, out_hw, tap
     h, w, _ = x.shape
     x = ops.bilinear_resize(x, 2 * h, 2 * w)
 
-    x = ops.conv2d(x, use_param(tape, params.head.w), use_param(tape, params.head.b), stride=1, pad=0)
-    if x.shape[:2] != tuple(out_hw):
-        x = ops.bilinear_resize(x, out_hw[0], out_hw[1])
-    return x
+    return ops.conv2d(x, use_param(tape, params.head.w), use_param(tape, params.head.b), stride=1, pad=0)
 
 
 def forward_single_object(
@@ -292,7 +288,7 @@ def forward_single_object(
         m_prev = cm_forward(m_prev, params.cm_prev, tape)
 
     fused = fuse(m_first, m_prev, params.fusion, tape)
-    logits = decode(fused, skips, params, cur_rgb.shape[:2], tape)
+    logits = decode(fused, skips, params, tape)
     h, w = cur_rgb.shape[:2]
     return ops.sigmoid(ops.reshape(logits, (h, w)))
 
@@ -340,6 +336,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         data = np.frombuffer(take(8 * count, f"data of {name}"), dtype="<f8")
         if name in out:
             raise FormatError(f"{path}: duplicate parameter {name}", offset=pos)
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"{path}: parameter {name} holds non-finite values", offset=pos - 8 * count)
         out[name] = data.reshape(dims).copy()
     return out
 

@@ -5,6 +5,10 @@ is bound to a recording tape, registers the matching adjoint rule. Scalars
 and unbound tensors act as constants. Elementwise arithmetic supports two
 operand layouts only: identical shapes, or one operand with a single
 element broadcast against the other.
+
+``softmax_match`` is the model's non-local match as one primitive: bit for
+bit the composition of ``matmul``, ``transpose`` and ``softmax_columns``,
+in one N x N buffer and one tape node instead of five.
 """
 
 from functools import lru_cache
@@ -195,11 +199,10 @@ def matmul(a, b) -> Tensor:
     return tape.record("matmul", (a, b), out, lambda g: (g @ B.T, A.T @ g))
 
 
-def softmax_columns_inplace(m: np.ndarray, out=None) -> np.ndarray:
-    """The numpy kernel of ``softmax_columns``, shared with the untaped
-    matching path: column softmax of a finite matrix, written into ``out``
-    (which may be ``m`` itself) or into a fresh array when ``out`` is None.
-    Raises ``NumericError`` on any non-finite entry."""
+def _softmax_columns_inplace(m: np.ndarray, out=None) -> np.ndarray:
+    """Column softmax of a finite matrix, written into ``out`` (which may be
+    ``m`` itself) or into a fresh array when ``out`` is None. Raises
+    ``NumericError`` on any non-finite entry."""
     if not np.all(np.isfinite(m)):
         raise NumericError("softmax_columns: input contains non-finite values")
     out = np.subtract(m, m.max(axis=0, keepdims=True), out=out)
@@ -217,7 +220,7 @@ def softmax_columns(m) -> Tensor:
     m = _as_tensor(m)
     if m.ndim != 2:
         raise ShapeError(f"softmax_columns expects a matrix, got shape {m.shape}")
-    out = softmax_columns_inplace(m.array)
+    out = _softmax_columns_inplace(m.array)
     tape = resolve_tape(m)
     if tape is None:
         return Tensor(out)
@@ -226,6 +229,38 @@ def softmax_columns(m) -> Tensor:
         return (out * (g - (out * g).sum(axis=0, keepdims=True)),)
 
     return tape.record("softmax_columns", (m,), out, vjp)
+
+
+def softmax_match(ref, tar) -> Tensor:
+    """``ref^T @ softmax_columns(ref @ tar^T)`` for (N, C) pixel rows of one
+    grid: column j of the (C, N) result blends the reference rows by their
+    similarity to target row j. The (N, N) similarity is one buffer,
+    softmaxed in place; the adjoint closes over it."""
+    ref = _as_tensor(ref)
+    tar = _as_tensor(tar)
+    if ref.ndim != 2 or tar.ndim != 2:
+        raise ShapeError(f"softmax_match expects matrices, got shapes {ref.shape} and {tar.shape}")
+    if ref.shape != tar.shape:
+        raise ShapeError(f"softmax_match: reference {ref.shape} and target {tar.shape} grids differ")
+    R = ref.array
+    tape = resolve_tape(ref, tar)
+    if tape is None:  # the faster layout at inference
+        s = R @ tar.array.T
+        return Tensor(R.T @ _softmax_columns_inplace(s, out=s))
+    # contiguous transposes, as transpose nodes hand them to matmul: the composed tape's products and bits
+    ref_t = np.ascontiguousarray(R.T)
+    tar_t = np.ascontiguousarray(tar.array.T)
+    s = R @ tar_t
+    _softmax_columns_inplace(s, out=s)
+    out = ref_t @ s
+
+    def vjp(g):
+        d_s = ref_t.T @ g
+        d_ref = (g @ s.T).T
+        d_s = s * (d_s - (s * d_s).sum(axis=0, keepdims=True))
+        return (d_ref + d_s @ tar_t.T, (R.T @ d_s).T)
+
+    return tape.record("softmax_match", (ref, tar), out, vjp)
 
 
 def _pad_spatial(arr: np.ndarray, pad: int) -> np.ndarray:

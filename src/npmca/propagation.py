@@ -72,8 +72,8 @@ class InferenceOptions:
     def __post_init__(self):
         if not self.scales:
             raise ValueError("at least one inference scale is required")
-        if any(s <= 0 for s in self.scales):
-            raise ValueError(f"scales must be positive, got {self.scales}")
+        if not all(np.isfinite(s) and s > 0 for s in self.scales):
+            raise ValueError(f"scales must be finite and > 0, got {self.scales}")
 
 
 def _scaled_size(value: int, scale: float) -> int:

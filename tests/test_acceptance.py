@@ -21,9 +21,7 @@ from npmca.matching import (
     flatten_grid,
     init_nlpmm_params,
     nlpmm_forward,
-    normalize_similarity,
     reduce_channels,
-    similarity,
 )
 from npmca.metrics import EvalReport, ObjectScore, contour_f, region_j
 from npmca.model import (
@@ -201,7 +199,7 @@ class TestAcceptance:
             scale = float(rng.uniform(0.5, 300.0))
             ref = Tensor(rng.standard_normal((12, 4)) * scale)
             tar = Tensor(rng.standard_normal((12, 4)) * scale)
-            s = normalize_similarity(similarity(ref, tar)).array
+            s = ops.softmax_columns(ops.matmul(ref, ops.transpose(tar))).array
             a = channel_attention_map(Tensor(rng.standard_normal((15, 6)) * scale)).array
             worst = max(
                 worst,

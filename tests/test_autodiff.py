@@ -206,6 +206,14 @@ class TestPerOpGradients:
         probe = self.r.normal(size=(4, 3))
         _fd_check(lambda v: ops.total_sum(ops.mul(ops.transpose(v), Tensor(probe))), self.r.normal(size=(3, 4)))
 
+    def test_softmax_match(self):
+        # the (C, N) output of a 6-pixel grid with 3 channels, through both operands
+        probe = Tensor(self.r.normal(size=(3, 6)))
+        tar = self.r.normal(size=(6, 3))
+        _fd_check(lambda v: ops.total_sum(ops.mul(ops.softmax_match(v, Tensor(tar)), probe)), self.r.normal(size=(6, 3)))
+        ref = self.r.normal(size=(6, 3))
+        _fd_check(lambda v: ops.total_sum(ops.mul(ops.softmax_match(Tensor(ref), v), probe)), self.r.normal(size=(6, 3)))
+
 
 @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (3, 1, 0), (1, 1, 0), (1, 1, 1), (5, 2, 2)])
 def test_conv2d_adjoints_match_loop_oracle(k, stride, pad):

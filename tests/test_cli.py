@@ -14,7 +14,7 @@ import pytest
 from npmca import cli, ops
 from npmca.datagen import load_sequence
 from npmca.metrics import EvalReport, evaluate_sequence
-from npmca.model import ModelConfig, init_model_params, load_checkpoint
+from npmca.model import ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from npmca.netpbm import read_pgm, write_pgm
 from npmca.tensor import Tensor
 from npmca.training import TrainingDiverged
@@ -211,6 +211,26 @@ class TestInfer:
                         "--out", str(tmp_path / "x"), "--scales", "abc"])
         assert code == 2
         assert "comma-separated floats" in capsys.readouterr().err
+        for scales in ("inf", "nan", "1.0,inf"):
+            code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                            "--out", str(tmp_path / "x"), "--scales", scales])
+            assert code == 2, scales
+            err = capsys.readouterr().err
+            assert "scales must be finite and > 0" in err and "Traceback" not in err, scales
+
+    def test_non_finite_checkpoint_is_data_error(self, dataset, trained, tmp_path, capsys):
+        params = init_model_params(0, ModelConfig())
+        load_checkpoint(os.path.join(trained, "model.ckpt"), params)
+        head_b = params.named_parameters()["decoder/head/b"]
+        head_b.value = Tensor(np.full(head_b.value.shape, np.nan))
+        ckpt = str(tmp_path / "nan.ckpt")
+        save_checkpoint(ckpt, params)
+        for argv in (["infer", "--data", dataset, "--checkpoint", ckpt, "--out", tmp_path / "x"],
+                     ["train", "--data", dataset, "--out", tmp_path / "y", "--stage", "finetune",
+                      "--init-checkpoint", ckpt, "--iterations", 1]):
+            assert run_cli(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "decoder/head/b holds non-finite values" in err, argv[0]
 
     def test_missing_first_mask_is_data_error(self, dataset, trained, tmp_path, capsys):
         bare = tmp_path / "bare" / "seq00000"

@@ -1,4 +1,4 @@
-"""Matching block: reduction, similarity, normalization, gathering."""
+"""Matching block: reduction, the softmax_match op, the full block."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,8 @@ from npmca.matching import (
     NlpmmParams,
     flatten_grid,
     init_nlpmm_params,
-    match,
     nlpmm_forward,
-    normalize_similarity,
     reduce_channels,
-    similarity,
 )
 from npmca.rng import make_rng
 from npmca.tensor import ParamTensor, Tensor
@@ -63,52 +60,83 @@ class TestReduceChannels:
             reduce_channels(FeatureMap(Tensor(np.zeros((4, 4, 6)))), Tensor(np.zeros((3, 3, 6, 1))), Tensor(np.zeros(1)))
 
 
+def composed_match(ref, tar):
+    """The match as a chain of tape primitives: refᵀ · softmax_columns(ref · tarᵀ)."""
+    return ops.matmul(ops.transpose(ref), ops.softmax_columns(ops.matmul(ref, ops.transpose(tar))))
+
+
 class TestSimilarity:
+    """The similarity and its column softmax, seen through ``softmax_match``."""
+
     def test_orthogonal_rows_give_diagonal(self):
-        f = np.zeros((1, 2, 2))
-        f[0, 0] = [1.0, 0.0]
-        f[0, 1] = [0.0, 2.0]
-        flat = flatten_grid(FeatureMap(Tensor(f)))
-        s = similarity(flat, flat)
-        assert_allclose(s.array, [[1.0, 0.0], [0.0, 4.0]])
+        # S = diag(1, 4), so each column's weights are a two-way softmax
+        f = np.array([[1.0, 0.0], [0.0, 2.0]])
+        out = ops.softmax_match(Tensor(f), Tensor(f)).array
+        e, e4 = np.exp(1.0), np.exp(4.0)
+        want = np.array([[e / (e + 1.0), 1.0 / (1.0 + e4)], [2.0 / (e + 1.0), 2.0 * e4 / (1.0 + e4)]])
+        assert_allclose(out, want, atol=1e-14, rtol=0)
 
     def test_matches_loop_oracle(self):
         rng = make_rng(2)
         a = rng.normal(size=(6, 3))
         b = rng.normal(size=(6, 3))
-        s = similarity(Tensor(a), Tensor(b))
-        assert_allclose(s.array, oracles.matmul_loops(a, b.T), atol=1e-12, rtol=0)
+        weights = oracles.softmax_columns_loops(oracles.matmul_loops(a, b.T))
+        want = oracles.matmul_loops(a.T, weights)
+        assert_allclose(ops.softmax_match(Tensor(a), Tensor(b)).array, want, atol=1e-12, rtol=0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            similarity(Tensor(np.zeros((4, 2))), Tensor(np.zeros((5, 2))))
+        for ref, tar in (((4, 2), (5, 2)), ((4, 2), (4, 3)), ((4, 2, 1), (4, 2, 1))):
+            with pytest.raises(ShapeError):
+                ops.softmax_match(Tensor(np.zeros(ref)), Tensor(np.zeros(tar)))
 
     def test_normalize_columns_sum_to_one(self):
+        # a constant reference channel comes out as the column sums of the weights
         rng = make_rng(3)
-        s = similarity(Tensor(rng.normal(size=(8, 2))), Tensor(rng.normal(size=(8, 2))))
-        n = normalize_similarity(s)
-        assert_allclose(n.array.sum(axis=0), np.ones(8), atol=1e-9, rtol=0)
+        ref = rng.normal(size=(8, 2)) * 5.0
+        ref[:, 1] = 1.0
+        out = ops.softmax_match(Tensor(ref), Tensor(rng.normal(size=(8, 2)) * 5.0)).array
+        assert_allclose(out[1], np.ones(8), atol=1e-9, rtol=0)
 
 
 class TestMatch:
+    """The blend of reference rows, seen through ``softmax_match``."""
+
     def test_one_hot_column_selects_reference_row(self):
-        ref = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        s = np.zeros((3, 3))
-        s[2, 0] = 1.0
-        s[0, 1] = 1.0
-        s[1, 2] = 1.0
-        out = match(Tensor(ref), Tensor(s)).array
-        assert_allclose(out[:, 0], ref[2])
-        assert_allclose(out[:, 1], ref[0])
-        assert_allclose(out[:, 2], ref[1])
+        # off-peak weights are exp(-1600), which underflows to exactly zero
+        ref = np.eye(3) * 40.0
+        tar = ref[[2, 0, 1]]
+        out = ops.softmax_match(Tensor(ref), Tensor(tar)).array
+        assert np.array_equal(out[:, 0], ref[2])
+        assert np.array_equal(out[:, 1], ref[0])
+        assert np.array_equal(out[:, 2], ref[1])
 
     def test_uniform_columns_give_mean_reference(self):
         rng = make_rng(4)
         ref = rng.normal(size=(5, 3))
-        s = np.full((5, 5), 0.2)
-        out = match(Tensor(ref), Tensor(s)).array
+        out = ops.softmax_match(Tensor(ref), Tensor(np.zeros((5, 3)))).array
         for j in range(5):
             assert_allclose(out[:, j], ref.mean(axis=0), atol=1e-12)
+
+
+class TestSoftmaxMatchBitwise:
+    @pytest.mark.parametrize("c4", [2, 16])
+    @pytest.mark.parametrize("grid", [(3, 4), (4, 5), (8, 12), (12, 18), (16, 24), (20, 30), (32, 48)])
+    def test_forward_and_adjoints_equal_composition(self, grid, c4):
+        rng = make_rng(14)
+        n = grid[0] * grid[1]
+        ref0 = rng.normal(size=(n, c4))
+        tar0 = rng.normal(size=(n, c4))
+        probe = Tensor(rng.normal(size=(c4, n)))
+
+        def run(match_fn):
+            tape = Tape()
+            ref, tar = tape.watch(ref0), tape.watch(tar0)
+            out = match_fn(ref, tar)
+            grads = tape.backward(ops.total_sum(ops.mul(out, probe)))
+            return out.array, grads.of(ref), grads.of(tar)
+
+        for got, want in zip(run(ops.softmax_match), run(composed_match)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestNlpmmForward:
@@ -161,21 +189,18 @@ class TestNlpmmForward:
         rng = make_rng(8)
         ref_flat = rng.normal(size=(12, 3))
         tar_flat = rng.normal(size=(12, 3))
-        out = match(Tensor(ref_flat), normalize_similarity(similarity(Tensor(ref_flat), Tensor(tar_flat))))
+        out = ops.softmax_match(Tensor(ref_flat), Tensor(tar_flat))
         perm = rng.permutation(12)
-        ref_p = ref_flat[perm]
-        out_p = match(Tensor(ref_p), normalize_similarity(similarity(Tensor(ref_p), Tensor(tar_flat))))
+        out_p = ops.softmax_match(Tensor(ref_flat[perm]), Tensor(tar_flat))
         assert_allclose(out.array, out_p.array, atol=1e-12, rtol=0)
 
     def test_target_permutation_permutes_output_columns(self):
         rng = make_rng(9)
         ref_flat = rng.normal(size=(10, 2))
         tar_flat = rng.normal(size=(10, 2))
-        base = match(Tensor(ref_flat), normalize_similarity(similarity(Tensor(ref_flat), Tensor(tar_flat)))).array
+        base = ops.softmax_match(Tensor(ref_flat), Tensor(tar_flat)).array
         perm = rng.permutation(10)
-        permuted = match(
-            Tensor(ref_flat), normalize_similarity(similarity(Tensor(ref_flat), Tensor(tar_flat[perm])))
-        ).array
+        permuted = ops.softmax_match(Tensor(ref_flat), Tensor(tar_flat[perm])).array
         assert_allclose(permuted, base[:, perm], atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("grid", [(12, 18), (16, 24), (20, 30), (32, 48)])
@@ -188,17 +213,21 @@ class TestNlpmmForward:
         got = nlpmm_forward(f_ref, f_tar, p).tensor.array
         ref_flat = flatten_grid(reduce_channels(f_ref, p.reduce_ref_w, p.reduce_ref_b))
         tar_flat = flatten_grid(reduce_channels(f_tar, p.reduce_tar_w, p.reduce_tar_b))
-        want = match(ref_flat, normalize_similarity(similarity(ref_flat, tar_flat))).array
+        want = composed_match(ref_flat, tar_flat).array
         assert got.tobytes() == want.T.reshape(got.shape).tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_untaped_path_rejects_non_finite_features(self):
         rng = make_rng(13)
+        f_ref = rng.normal(size=(4, 5, 8))
         f_tar = rng.normal(size=(4, 5, 8))
         f_tar[2, 3, 1] = np.inf
+        p = random_params(rng, 8)
         with pytest.raises(NumericError, match="non-finite"):
-            nlpmm_forward(FeatureMap(Tensor(rng.normal(size=(4, 5, 8)))), FeatureMap(Tensor(f_tar)),
-                          random_params(rng, 8))
+            nlpmm_forward(FeatureMap(Tensor(f_ref)), FeatureMap(Tensor(f_tar)), p)
+        tape = Tape()
+        with pytest.raises(NumericError, match="non-finite"):
+            nlpmm_forward(FeatureMap(tape.watch(f_ref)), FeatureMap(tape.watch(f_tar)), p, tape)
 
     def test_shape_mismatch_rejected(self):
         rng = make_rng(10)

@@ -323,6 +323,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="duplicate"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_is_rejected_by_name(self, tmp_path, value):
+        path = tmp_path / "model.ckpt"
+        params = self._randomized(8)
+        head_b = params.named_parameters()["decoder/head/b"]
+        head_b.value = Tensor(np.full(head_b.value.shape, value))
+        save_checkpoint(path, params)
+        with pytest.raises(FormatError, match="decoder/head/b holds non-finite values"):
+            read_checkpoint(path)
+
     def test_wrong_architecture_is_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self._randomized(7))

@@ -186,6 +186,9 @@ class TestInferSequence:
             InferenceOptions(scales=())
         with pytest.raises(ValueError):
             InferenceOptions(scales=(0.5, -1.0))
+        for scales in ((float("inf"),), (float("nan"),), (1.0, float("inf"))):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                InferenceOptions(scales=scales)
 
     def test_predictions_written_as_pgm_tree(self, tmp_path):
         video, params = tiny_setup(8)
