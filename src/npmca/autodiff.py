@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over a recording tape.
 
 Operations append nodes to a Tape in execution order, so the node list is
-already a topological order of the computation. ``Tape.backward`` walks it
-once in reverse, accumulating adjoints keyed by tensor uid, and deposits
-parameter adjoints into each ParamTensor's gradient field.
+already a topological order of the computation. One walk in reverse
+accumulates adjoints keyed by tensor uid. ``Tape.backward`` deposits the
+parameter adjoints into each ParamTensor's gradient field;
+``Tape.param_gradients`` returns them and writes nothing, so tapes over
+one parameter set can run on several threads and their results be added
+afterwards in an order the caller fixes.
 """
 
 import numpy as np
@@ -77,13 +80,8 @@ class Tape:
         self.nodes.append(Node(op, input_ids, out.uid, vjp))
         return out
 
-    def backward(self, loss: Tensor) -> Gradients:
-        """Accumulate d(loss)/d(leaf) for every leaf of this tape.
-
-        Parameter gradients are added into ``ParamTensor.gradient`` so a
-        caller can accumulate over several backward passes; other watched
-        leaves are reported through the returned Gradients.
-        """
+    def _adjoints(self, loss: Tensor) -> dict:
+        """d(loss)/d(tensor) keyed by uid, for every tensor the loss reaches."""
         if loss.tape is not self:
             raise GraphStateError("loss tensor does not belong to this tape")
         if not self.nodes:
@@ -102,14 +100,37 @@ class Tape:
                     continue
                 held = adjoints.get(uid)
                 adjoints[uid] = contrib if held is None else held + contrib
-
-        for uid, p in self._params.items():
-            g = adjoints.get(uid)
-            if g is not None:
-                p.gradient.array += np.asarray(g).reshape(p.gradient.shape)
         # the leaves point back at this tape; dropping them lets reference
         # counting free the tape as soon as its caller lets go of it
         self._param_leaves.clear()
+        return adjoints
+
+    def param_gradients(self, loss: Tensor) -> list[tuple[ParamTensor, np.ndarray]]:
+        """(parameter, d(loss)/d(parameter)) for each bound parameter the
+        loss depends on, in binding order, each shaped like its value.
+
+        Writes into no ``ParamTensor.gradient``; adding the pairs into
+        them, in any fixed order, is the caller's step.
+        """
+        return self._param_pairs(self._adjoints(loss))
+
+    def _param_pairs(self, adjoints: dict) -> list[tuple[ParamTensor, np.ndarray]]:
+        return [
+            (p, np.asarray(adjoints[uid]).reshape(p.gradient.shape))
+            for uid, p in self._params.items()
+            if uid in adjoints
+        ]
+
+    def backward(self, loss: Tensor) -> Gradients:
+        """Accumulate d(loss)/d(leaf) for every leaf of this tape.
+
+        Parameter gradients are added into ``ParamTensor.gradient`` so a
+        caller can accumulate over several backward passes; other watched
+        leaves are reported through the returned Gradients.
+        """
+        adjoints = self._adjoints(loss)
+        for p, g in self._param_pairs(adjoints):
+            p.gradient.array += g
         return Gradients(adjoints)
 
 

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or data error,
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -26,7 +27,13 @@ from .metrics import EvalReport, evaluate_sequence
 from .model import ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from .netpbm import read_pgm
 from .propagation import InferenceOptions, infer_sequence, write_predictions
-from .training import TrainingDiverged, make_finetune_sampler, make_pretrain_sampler, train_loop
+from .training import (
+    TrainingDiverged,
+    make_finetune_sampler,
+    make_pretrain_sampler,
+    sample_workers,
+    train_loop,
+)
 
 _SKIP_KEYS = {"func", "config"}
 
@@ -96,8 +103,12 @@ def _derive_seed(*keys: int) -> int:
 
 
 def _apply_env_seed(args: argparse.Namespace) -> None:
-    if "seed" in vars(args) and os.environ.get("NPMCA_SEED"):
-        args.seed = int(os.environ["NPMCA_SEED"])
+    text = os.environ.get("NPMCA_SEED")
+    if "seed" in vars(args) and text:
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise ConfigError(f"NPMCA_SEED must be an integer, got {text!r}") from None
 
 
 # --- commands -----------------------------------------------------------------
@@ -137,6 +148,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_run_cfg(args.out, "train", args)
     log_path = os.path.join(args.out, "loss.csv")
+    start = time.perf_counter()
     with open(log_path, "w", encoding="utf-8") as log:
         losses = train_loop(
             params,
@@ -148,6 +160,8 @@ def cmd_train(args) -> int:
             log_stream=log,
             disable_cm=args.disable_cm,
         )
+    rate = args.iterations * args.batch / (time.perf_counter() - start)
+    print(f"train: {rate:.1f} samples/s on {sample_workers(args.batch)} sample thread(s)", file=sys.stderr)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(ckpt_path, params)
     print(f"trained {args.iterations} iterations, final loss {losses[-1]:.6f}")
@@ -336,8 +350,8 @@ def main(argv=None) -> int:
     for key in _REQUIRED[args.command]:
         if getattr(args, key) in (None, ""):
             parser.error(f"{args.command}: --{key.replace('_', '-')} is required")
-    _apply_env_seed(args)
     try:
+        _apply_env_seed(args)
         return args.func(args)
     except TrainingDiverged as exc:
         print(f"npmca: {exc}", file=sys.stderr)

@@ -292,6 +292,12 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     ``w`` has shape (kh, kw, Cin, Cout) with odd kh, kw; ``b`` has shape
     (Cout,). The padded extent must be consumed exactly: (H + 2*pad - kh)
     must be divisible by the stride, otherwise the call is a shape error.
+
+    The forward pass is one GEMM over the (OH*OW, kh*kw*Cin) patch matrix.
+    On a tape, the adjoint keeps the input map, not that kh*kw times wider
+    matrix, and lays the patches out again for the weight adjoint: the same
+    copy gives the same bits, and a training sample's tape holds about a
+    fifth of the memory.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -316,10 +322,13 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
 
-    xp = _pad_spatial(x.array, pad) if pad else np.ascontiguousarray(x.array)
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
-    wmat = w.array.reshape(kh * kw * cin, cout)
-    out = cols @ wmat
+    x_arr = x.array
+
+    def patches():
+        xp = _pad_spatial(x_arr, pad) if pad else x_arr
+        return _im2col(xp, kh, kw, stride, oh, ow)
+
+    out = patches() @ w.array.reshape(kh * kw * cin, cout)
     out += b.array
     out = out.reshape(oh, ow, cout)
 
@@ -332,13 +341,13 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
 
     def vjp(g):
         g2 = g.reshape(oh * ow, cout)
-        dw = (cols.T @ g2).reshape(kh, kw, cin, cout)
+        dw = (patches().T @ g2).reshape(kh, kw, cin, cout)
         db = g2.sum(axis=0)
         if not needs_dx:
             return (None, dw, db)
         # one tap at a time, so each product is contiguous and lands in the
         # padded map with a single strided add
-        dxp = np.zeros(xp.shape, dtype=np.float64)
+        dxp = np.zeros((h + 2 * pad, wd + 2 * pad, cin), dtype=np.float64)
         for i in range(kh):
             for j in range(kw):
                 tap = (g2 @ wtaps[i, j].T).reshape(oh, ow, cin)

@@ -6,7 +6,17 @@ sample, batch gradients are averaged by scaling each sample's loss, and
 Adam applies the update. The pretraining stage fakes motion by warping a
 single annotated frame three ways; the video stage samples real triplets
 with a bounded random frame skip.
+
+The samples of one batch run concurrently on a thread pool (numpy's BLAS
+and most array kernels release the interpreter lock), as many threads as
+``sample_workers`` allows. Each thread returns its sample's loss and
+parameter adjoints; the calling thread adds them up in sample order, the
+same float sums in the same order as one thread would make, so losses
+and checkpoints do not depend on the worker count.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,8 +78,15 @@ class TrainingSample:
         self.target = target
 
 
-def _pick_object(mask: np.ndarray, rng) -> int:
+def _object_ids(mask: np.ndarray, where: str) -> list[int]:
     ids = [int(v) for v in np.unique(mask) if v != 0]
+    if not ids:
+        raise ValueError(f"{where} has an empty mask: no object to train on")
+    return ids
+
+
+def _pick_object(mask: np.ndarray, rng, where: str) -> int:
+    ids = _object_ids(mask, where)
     return ids[int(rng.integers(len(ids)))]
 
 
@@ -92,8 +109,10 @@ def make_pretrain_sampler(videos):
     def sample(rng) -> TrainingSample:
         video = videos[int(rng.integers(len(videos)))]
         t = int(rng.integers(len(video.frames)))
+        where = f"sequence {video.name} frame {t}"
+        _object_ids(video.masks[t], where)
         triplet = synth_pretrain_pair(video.frames[t], video.masks[t], int(rng.integers(1 << 31)))
-        return _assemble(triplet, _pick_object(triplet[0][1], rng))
+        return _assemble(triplet, _pick_object(triplet[0][1], rng, f"{where} after warping"))
 
     return sample
 
@@ -107,9 +126,39 @@ def make_finetune_sampler(videos, max_skip: int = 5):
         video = videos[int(rng.integers(len(videos)))]
         first, middle, last = sample_triplet_indices(len(video.frames), max_skip, rng)
         triplet = tuple((video.frames[i], video.masks[i]) for i in (first, middle, last))
-        return _assemble(triplet, _pick_object(video.masks[first], rng))
+        return _assemble(triplet, _pick_object(video.masks[first], rng, f"sequence {video.name} frame {first}"))
 
     return sample
+
+
+# OpenBLAS reads its thread count from the first of these that holds a
+# positive number
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_pinned() -> bool:
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+def sample_workers(batch_size: int) -> int:
+    """Threads ``train_loop`` runs a batch's samples on.
+
+    One per usable CPU, up to the batch size, when BLAS is pinned to one
+    thread; otherwise 1, since sample threads competing with BLAS's own
+    threads for the cores were measured slower than one sample at a time.
+    """
+    if not _blas_pinned():
+        return 1
+    # the CPUs this process may run on; not every platform can tell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(batch_size, cpus))
 
 
 def train_loop(
@@ -123,30 +172,42 @@ def train_loop(
     disable_cm: bool = False,
 ) -> list[float]:
     """Run Adam for the given number of iterations; returns per-iteration
-    batch losses and writes them as CSV when a stream is given."""
+    batch losses and writes them as CSV when a stream is given.
+
+    Each iteration draws its samples on the calling thread, in sampler
+    order, then runs their forward and backward passes on up to
+    ``sample_workers(batch_size)`` threads. An exception raised by a
+    sample is raised here once every running sample has finished.
+    """
     named = params.named_parameters()
     optimizer = Adam(named, lr)
     rng = spawn_rng(seed, 23)
     losses = []
+
+    def run(s: TrainingSample):
+        tape = Tape()
+        prob = forward_single_object(
+            params, s.first_masked, s.prev_masked, s.cur_rgb, s.guidance,
+            tape=tape, disable_cm=disable_cm,
+        )
+        loss = iou_loss(prob, s.target)
+        return loss.item(), tape.param_gradients(ops.scale(loss, 1.0 / batch_size))
+
     if log_stream is not None:
         log_stream.write("iter,loss\n")
-    for it in range(1, iterations + 1):
-        zero_gradients(named.values())
-        batch_loss = 0.0
-        for _ in range(batch_size):
-            s = sampler(rng)
-            tape = Tape()
-            prob = forward_single_object(
-                params, s.first_masked, s.prev_masked, s.cur_rgb, s.guidance,
-                tape=tape, disable_cm=disable_cm,
-            )
-            loss = iou_loss(prob, s.target)
-            tape.backward(ops.scale(loss, 1.0 / batch_size))
-            batch_loss += loss.item() / batch_size
-        if not np.isfinite(batch_loss):
-            raise TrainingDiverged(it, batch_loss)
-        optimizer.step()
-        losses.append(batch_loss)
-        if log_stream is not None:
-            log_stream.write(f"{it},{batch_loss:.8f}\n")
+    with ThreadPoolExecutor(sample_workers(batch_size), thread_name_prefix="npmca-sample") as pool:
+        for it in range(1, iterations + 1):
+            samples = [sampler(rng) for _ in range(batch_size)]
+            zero_gradients(named.values())
+            batch_loss = 0.0
+            for loss, grads in pool.map(run, samples):
+                for p, g in grads:
+                    p.gradient.array += g
+                batch_loss += loss / batch_size
+            if not np.isfinite(batch_loss):
+                raise TrainingDiverged(it, batch_loss)
+            optimizer.step()
+            losses.append(batch_loss)
+            if log_stream is not None:
+                log_stream.write(f"{it},{batch_loss:.8f}\n")
     return losses

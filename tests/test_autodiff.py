@@ -76,6 +76,43 @@ def test_training_tape_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_param_gradients_equal_backward_deposit_and_write_nothing():
+    """The pure step returns what ``backward`` would add, leaves every
+    gradient accumulator alone, and lets its tape go like ``backward``."""
+    params = init_model_params(0, ModelConfig(stage_channels=(4, 6, 8)))
+    named = params.named_parameters()
+    rng = np.random.default_rng(1)
+    first, prev, cur = (rng.uniform(size=(8, 12, 3)) for _ in range(3))
+    guidance = rng.uniform(size=(8, 12))
+    target = (guidance > 0.5).astype(float)
+
+    def sample_loss(tape):
+        return iou_loss(forward_single_object(params, first, prev, cur, guidance, tape=tape), target)
+
+    tape = Tape()
+    tape.backward(sample_loss(tape))
+    deposited = {name: p.gradient.array.copy() for name, p in named.items()}
+    for p in named.values():
+        p.zero_grad()
+
+    gc.disable()
+    try:
+        tape = Tape()
+        loss = sample_loss(tape)
+        alive = weakref.ref(tape)
+        pairs = tape.param_gradients(loss)
+        del tape, loss
+        assert alive() is None
+    finally:
+        gc.enable()
+
+    assert all(not p.gradient.array.any() for p in named.values())
+    assert [p.name for p, _ in pairs] == list(named)
+    for p, g in pairs:
+        assert g.shape == p.value.shape
+        assert (np.zeros(g.shape) + g).tobytes() == deposited[p.name].tobytes(), p.name
+
+
 def test_backward_before_forward_is_state_error():
     tape = Tape()
     x = tape.watch(np.array(1.0))

@@ -6,6 +6,7 @@ ordinary assertions and the slow subprocess spin-up is avoided.
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -103,6 +104,14 @@ class TestGen:
         cfg = open(os.path.join(overridden, "run.cfg"), encoding="utf-8").read()
         assert "seed=99" in cfg.splitlines()
 
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NPMCA_SEED", "abc")
+        assert run_cli(["gen", "--n", 1, "--out", str(tmp_path / "x"), "--resolution", "32x48"]) == 2
+        err = capsys.readouterr().err
+        assert "NPMCA_SEED" in err and "'abc'" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x")
+
     def test_run_cfg_records_resolved_arguments(self, dataset):
         lines = open(os.path.join(dataset, "run.cfg"), encoding="utf-8").read().splitlines()
         assert "command=gen" in lines
@@ -163,6 +172,29 @@ class TestTrain:
             first.append(losses[0])
             last.append(losses[-1])
         assert np.median(last) < np.median(first)
+
+    def test_reports_rate_and_sample_threads_on_stderr(self, trained, tmp_path, capsys):
+        again = str(tmp_path / "again")
+        assert run_cli(["train", "--config", os.path.join(trained, "run.cfg"), "--out", again]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"train: \d+\.\d samples/s on [1-9]\d* sample thread\(s\)\n", captured.err)
+        assert "samples/s" not in captured.out
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_empty_mask_is_data_error_naming_the_frame(self, dataset, trained, tmp_path, capsys, stage):
+        data = str(tmp_path / "blank")
+        shutil.copytree(os.path.join(dataset, "seq00000"), os.path.join(data, "seq00000"))
+        masks = os.path.join(data, "seq00000", "masks")
+        for name in os.listdir(masks):
+            path = os.path.join(masks, name)
+            write_pgm(path, np.zeros_like(read_pgm(path)))
+        argv = ["train", "--data", data, "--out", str(tmp_path / "x"), "--stage", stage, "--iterations", 1]
+        if stage == "finetune":
+            argv += ["--init-checkpoint", os.path.join(trained, "model.ckpt")]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"sequence seq00000 frame \d+ has an empty mask", err), err
+        assert "Traceback" not in err
 
     def test_diverged_loss_exits_three(self, dataset, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
