@@ -37,15 +37,12 @@ class CmState:
     def gamma(self) -> float:
         return float(np.logaddexp(0.0, self.raw_gamma.value.array))
 
-    def parameters(self) -> list[ParamTensor]:
-        return [self.raw_gamma]
-
 
 def init_cm_state(name: str, raw: float = RAW_GAMMA_INIT) -> CmState:
     return CmState(ParamTensor(f"{name}/raw_gamma", np.asarray(raw)))
 
 
-def channel_attention_map(flat: Tensor, tape=None) -> Tensor:
+def channel_attention_map(flat: Tensor) -> Tensor:
     """Normalized channel-affinity matrix A' of a flattened (N, C) input.
 
     Column j of A' is a distribution over input channels describing how
@@ -57,17 +54,12 @@ def channel_attention_map(flat: Tensor, tape=None) -> Tensor:
     return ops.softmax_columns(gram)
 
 
-def strengthen(flat: Tensor, attention: Tensor) -> Tensor:
-    """Mix input channels by the normalized affinity columns."""
-    return ops.matmul(flat, attention)
-
-
 def cm_forward(f_in: FeatureMap, state: CmState, tape=None) -> FeatureMap:
     """Residual channel reweighting of an (H, W, C/4) map."""
     h, w, c = f_in.tensor.shape
     flat = ops.reshape(f_in.tensor, (h * w, c))
-    attention = channel_attention_map(flat, tape)
-    mixed = strengthen(flat, attention)
+    # mix the input channels by the normalized affinity columns
+    mixed = ops.matmul(flat, channel_attention_map(flat))
     raw = use_param(tape, state.raw_gamma)
     gamma = ops.softplus(raw)
     out = ops.add(ops.mul(gamma, mixed), flat)

@@ -24,7 +24,7 @@ from .datagen import (
 )
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .metrics import EvalReport, evaluate_sequence
-from .model import ModelConfig, init_model_params, load_checkpoint, save_checkpoint
+from .model import GRID_STRIDE, ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from .netpbm import read_pgm
 from .propagation import InferenceOptions, infer_sequence, write_predictions
 from .training import (
@@ -46,14 +46,14 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
-    """HxW with both sides multiples of 4, since the encoders halve twice;
-    ``random_scene`` enforces the smallest side."""
+    """HxW with both sides multiples of GRID_STRIDE; ``random_scene``
+    enforces the smallest side."""
     try:
         h, w = (int(v) for v in text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected HxW such as 64x96, got {text!r}")
-    if h % 4 or w % 4:
-        raise argparse.ArgumentTypeError(f"resolution {h}x{w}: height and width must be multiples of 4")
+    if h % GRID_STRIDE or w % GRID_STRIDE:
+        raise argparse.ArgumentTypeError(f"resolution {h}x{w}: height and width must be multiples of {GRID_STRIDE}")
     return h, w
 
 
@@ -202,10 +202,10 @@ def cmd_eval(args) -> int:
     if not names:
         print(f"eval: no ground-truth sequences under {args.data}", file=sys.stderr)
         return 2
+    truth = {name: load_sequence(args.data, name).masks for name in names}
     missing = []
-    for name in names:
-        gt = load_sequence(args.data, name)
-        for t in range(len(gt.frames)):
+    for name, masks in truth.items():
+        for t in range(len(masks)):
             path = os.path.join(args.pred, name, f"{t:05d}.pgm")
             if not os.path.exists(path):
                 missing.append(path)
@@ -216,13 +216,12 @@ def cmd_eval(args) -> int:
         return 2
 
     report = EvalReport([])
-    for name in names:
-        gt = load_sequence(args.data, name)
+    for name, masks in truth.items():
         preds = [
             read_pgm(os.path.join(args.pred, name, f"{t:05d}.pgm")).astype(np.int64)
-            for t in range(len(gt.frames))
+            for t in range(len(masks))
         ]
-        report = report.merged(evaluate_sequence(preds, gt.masks, name))
+        report = report.merged(evaluate_sequence(preds, masks, name))
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:

@@ -114,8 +114,6 @@ class VideoSequence:
 
 def _extent(shape: str, size: float) -> tuple[float, float]:
     """Half-height and half-width of a shape's bounding box."""
-    if shape == "triangle":
-        return size, size
     return size, size
 
 

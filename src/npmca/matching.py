@@ -55,28 +55,20 @@ class NlpmmParams:
     reduce_tar_w: ParamTensor
     reduce_tar_b: ParamTensor
 
-    def parameters(self) -> list[ParamTensor]:
-        return [self.reduce_ref_w, self.reduce_ref_b, self.reduce_tar_w, self.reduce_tar_b]
 
-
-def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
+def init_conv(rng: np.random.Generator, name: str, k: int, cin: int, cout: int) -> tuple[ParamTensor, ParamTensor]:
+    """He-uniform (k, k, cin, cout) weights and zero biases, named ``name/w`` and ``name/b``."""
+    limit = np.sqrt(6.0 / (k * k * cin))
+    w = ParamTensor(f"{name}/w", rng.uniform(-limit, limit, size=(k, k, cin, cout)))
+    b = ParamTensor(f"{name}/b", np.zeros(cout))
+    return w, b
 
 
 def init_nlpmm_params(rng: np.random.Generator, channels: int, prefix: str) -> NlpmmParams:
     if channels % 4:
         raise ConfigError(f"channel count {channels} is not divisible by 4")
-    reduced = channels // 4
-    fan_in = 3 * 3 * channels
-
-    def conv(tag):
-        w = ParamTensor(f"{prefix}/{tag}/w", he_uniform(rng, (3, 3, channels, reduced), fan_in))
-        b = ParamTensor(f"{prefix}/{tag}/b", np.zeros(reduced))
-        return w, b
-
-    rw, rb = conv("reduce_ref")
-    tw, tb = conv("reduce_tar")
+    rw, rb = init_conv(rng, f"{prefix}/reduce_ref", 3, channels, channels // 4)
+    tw, tb = init_conv(rng, f"{prefix}/reduce_tar", 3, channels, channels // 4)
     return NlpmmParams(rw, rb, tw, tb)
 
 

@@ -17,7 +17,7 @@ integral output sizes) satisfiable on even image sizes.
 
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -25,11 +25,14 @@ from . import ops
 from .attention import CmState, cm_forward, init_cm_state
 from .autodiff import use_param
 from .errors import ConfigError, FormatError, ShapeError
-from .matching import FeatureMap, NlpmmParams, he_uniform, init_nlpmm_params, nlpmm_forward
+from .matching import FeatureMap, NlpmmParams, init_conv, init_nlpmm_params, nlpmm_forward
 from .rng import spawn_rng
 from .tensor import ParamTensor, Tensor
 
 CHECKPOINT_MAGIC = b"NPMCA1"
+
+# the encoders halve the resolution twice, so image sides must be multiples of this
+GRID_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -97,26 +100,21 @@ class ModelParams:
     head: ConvParams
 
     def named_parameters(self) -> dict[str, ParamTensor]:
-        """All parameters in a stable creation order, keyed by name."""
-        groups: list[ParamTensor] = []
-        if self.ref_encoder is not None:
-            for stage in (self.ref_encoder.stage1, self.ref_encoder.stage2, self.ref_encoder.stage3):
-                groups += [stage.w, stage.b]
-        for stage in (self.tar_encoder.stage1, self.tar_encoder.stage2, self.tar_encoder.stage3):
-            groups += [stage.w, stage.b]
-        groups += self.nlpmm_first.parameters()
-        groups += self.nlpmm_prev.parameters()
-        groups += self.cm_first.parameters()
-        groups += self.cm_prev.parameters()
-        for block in (self.fusion, self.refine1, self.refine2, self.head):
-            groups += [block.w, block.b]
-        return {p.name: p for p in groups}
+        """All parameters in field order (the checkpoint layout), keyed by name."""
+        return {p.name: p for p in _walk(self)}
+
+
+def _walk(node):
+    """The ParamTensors under a parameter dataclass, depth first in field order."""
+    if isinstance(node, ParamTensor):
+        yield node
+    elif is_dataclass(node):
+        for field in fields(node):
+            yield from _walk(getattr(node, field.name))
 
 
 def _init_conv(rng, name: str, k: int, cin: int, cout: int) -> ConvParams:
-    w = ParamTensor(f"{name}/w", he_uniform(rng, (k, k, cin, cout), k * k * cin))
-    b = ParamTensor(f"{name}/b", np.zeros(cout))
-    return ConvParams(w, b)
+    return ConvParams(*init_conv(rng, name, k, cin, cout))
 
 
 def _init_encoder(rng, name: str, in_channels: int, widths) -> EncoderParams:
@@ -162,10 +160,15 @@ def _check_image(image: np.ndarray, channels: int, what: str) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != channels:
         raise ShapeError(f"{what} must be (H, W, {channels}), got shape {image.shape}")
-    h, w, _ = image.shape
-    if h % 4 or w % 4:
-        raise ShapeError(f"{what} size {h}x{w} is not divisible by 4")
+    check_grid(image.shape[:2], what)
     return image
+
+
+def check_grid(size, what: str) -> None:
+    """Raise ShapeError unless both sides of an (H, W) size fit the feature grid."""
+    h, w = size
+    if h % GRID_STRIDE or w % GRID_STRIDE:
+        raise ShapeError(f"{what} size {h}x{w} is not divisible by {GRID_STRIDE}")
 
 
 def _stage(x: Tensor, p: ConvParams, tape, downsample: bool) -> Tensor:
@@ -231,15 +234,11 @@ def decode(fused: FeatureMap, skips: SkipStack, params: ModelParams, tape=None) 
     Each stage concatenates the skip at its native resolution, convolves,
     and doubles the resolution.
     """
-    if skips.s2.shape[:2] != fused.tensor.shape[:2]:
-        raise ShapeError(f"skip s2 {skips.s2.shape} does not match fused map {fused.tensor.shape}")
     x = ops.concat_channels([fused.tensor, skips.s2])
     x = ops.relu(ops.conv2d(x, use_param(tape, params.refine1.w), use_param(tape, params.refine1.b), stride=1, pad=1))
     h, w, _ = x.shape
     x = ops.bilinear_resize(x, 2 * h, 2 * w)
 
-    if skips.s1.shape[:2] != x.shape[:2]:
-        raise ShapeError(f"skip s1 {skips.s1.shape} does not match decoder state {x.shape}")
     x = ops.concat_channels([x, skips.s1])
     x = ops.relu(ops.conv2d(x, use_param(tape, params.refine2.w), use_param(tape, params.refine2.b), stride=1, pad=1))
     h, w, _ = x.shape

@@ -20,7 +20,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise FormatError(f"write_ppm expects (H, W, 3), got shape {rgb.shape}")
     h, w, _ = rgb.shape
-    payload = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
+    payload = probability_to_byte(rgb)
     with open(path, "wb") as fh:
         fh.write(_encode_header("P6", w, h))
         fh.write(payload.tobytes())
@@ -43,7 +43,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 
 def probability_to_byte(prob: np.ndarray) -> np.ndarray:
-    """Quantize a [0, 1] probability plane to uint8 for P5 output."""
+    """Quantize [0, 1] values (a probability plane, an RGB image) to uint8."""
     return np.clip(np.rint(np.asarray(prob) * 255.0), 0, 255).astype(np.uint8)
 
 

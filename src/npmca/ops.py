@@ -434,8 +434,3 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
         return Tensor(out)
     return tape.record("bilinear_resize", (x,), out, lambda g: (adjoint(g),))
 
-
-def resize_plane(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Plain-numpy bilinear resize of a single (H, W) plane."""
-    t = bilinear_resize(Tensor(np.asarray(arr, dtype=np.float64)[:, :, None]), out_h, out_w)
-    return t.array[:, :, 0]

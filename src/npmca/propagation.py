@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .errors import ShapeError
-from .model import ModelParams, encode_reference_image, forward_single_object
+from .model import GRID_STRIDE, ModelParams, encode_reference_image, forward_single_object
 from .netpbm import probability_to_byte, write_pgm
 from .tensor import Tensor
 
@@ -41,19 +41,19 @@ class AggregateResult:
     labels: np.ndarray  # (H, W) indices in 0..M
 
 
-def aggregate_multi_object(per_object: np.ndarray, eps: float = CLAMP_EPS) -> AggregateResult:
+def aggregate_multi_object(per_object: np.ndarray) -> AggregateResult:
     """Odds-ratio merge of single-object probability maps.
 
     The background map is the product of complements; all maps are clamped
-    to [eps, 1-eps] before forming odds, so saturated sigmoids cannot
-    produce infinities. Ties at the argmax go to the smaller index, which
+    to [CLAMP_EPS, 1-CLAMP_EPS] before forming odds, so saturated sigmoids
+    cannot produce infinities. Ties at the argmax go to the smaller index, which
     favors background, then earlier objects.
     """
     per_object = np.asarray(per_object, dtype=np.float64)
     if per_object.ndim != 3 or per_object.shape[0] < 1:
         raise ValueError(f"expected a non-empty (M, H, W) stack, got shape {per_object.shape}")
-    p = np.clip(per_object, eps, 1.0 - eps)
-    p0 = np.clip(np.prod(1.0 - p, axis=0), eps, 1.0 - eps)
+    p = np.clip(per_object, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    p0 = np.clip(np.prod(1.0 - p, axis=0), CLAMP_EPS, 1.0 - CLAMP_EPS)
     stacked = np.concatenate([p0[None], p], axis=0)
     odds = stacked / (1.0 - stacked)
     probs = odds / odds.sum(axis=0, keepdims=True)
@@ -77,8 +77,8 @@ class InferenceOptions:
 
 
 def _scaled_size(value: int, scale: float) -> int:
-    """Nearest multiple of 4, never below 8, so the encoder grid works out."""
-    return max(8, int(round(value * scale / 4.0)) * 4)
+    """Nearest multiple of GRID_STRIDE, at least two of them, so the encoder grid works out."""
+    return max(2 * GRID_STRIDE, int(round(value * scale / GRID_STRIDE)) * GRID_STRIDE)
 
 
 def _resize_rgb(image: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -90,7 +90,7 @@ def _resize_rgb(image: np.ndarray, h: int, w: int) -> np.ndarray:
 def _resize_plane(plane: np.ndarray, h: int, w: int) -> np.ndarray:
     if plane.shape == (h, w):
         return plane
-    return np.clip(ops.resize_plane(plane, h, w), 0.0, 1.0)
+    return np.clip(ops.bilinear_resize(Tensor(plane[:, :, None]), h, w).array[:, :, 0], 0.0, 1.0)
 
 
 @dataclass
@@ -139,8 +139,6 @@ def infer_sequence(
             first_cache[key] = features
         return features
 
-    prev_mask = masks[0]
-    prev_stack = one_hot
     for t in range(1, len(frames)):
         per_object = np.zeros((m, h, w))
         for j, oid in enumerate(object_ids):
@@ -148,10 +146,10 @@ def infer_sequence(
                 ref_frame, ref_mask = frames[0], masks[0]
                 guidance = (masks[0] == oid).astype(np.float64)
             else:
-                ref_frame, ref_mask = frames[t - 1], prev_mask
-                guidance = prev_stack[j + 1] if options.soft_guidance else (prev_mask == oid).astype(np.float64)
+                ref_frame, ref_mask = frames[t - 1], masks[t - 1]
+                guidance = stacks[t - 1][j + 1] if options.soft_guidance else (ref_mask == oid).astype(np.float64)
             if options.soft_reference_mask and not options.first_frame_only:
-                prev_masked = np.asarray(ref_frame, dtype=np.float64) * prev_stack[j + 1][:, :, None]
+                prev_masked = np.asarray(ref_frame, dtype=np.float64) * stacks[t - 1][j + 1][:, :, None]
             else:
                 prev_masked = mask_out_background(ref_frame, ref_mask, oid)
 
@@ -175,8 +173,6 @@ def infer_sequence(
             label_raster[merged.labels == j] = oid
         masks.append(label_raster)
         stacks.append(merged.probabilities)
-        prev_mask = label_raster
-        prev_stack = merged.probabilities
     return InferResult(masks, stacks, object_ids)
 
 

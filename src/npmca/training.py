@@ -25,7 +25,7 @@ from .autodiff import Tape, zero_gradients
 from .datagen import sample_triplet_indices, synth_pretrain_pair
 from .errors import NpmcaError
 from .metrics import iou_loss
-from .model import ModelParams, forward_single_object
+from .model import ModelParams, check_grid, forward_single_object
 from .propagation import mask_out_background
 from .rng import spawn_rng
 from .tensor import Tensor
@@ -40,15 +40,17 @@ class TrainingDiverged(NpmcaError):
         self.loss = loss
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction over named parameters."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {name: np.zeros(p.value.shape) for name, p in params.items()}
         self._v = {name: np.zeros(p.value.shape) for name, p in params.items()}
@@ -58,11 +60,11 @@ class Adam:
         t = self.step_count
         for name, p in self.params.items():
             g = p.gradient.array
-            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.value = Tensor(p.value.array - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            m = self._m[name] = ADAM_BETA1 * self._m[name] + (1.0 - ADAM_BETA1) * g
+            v = self._v[name] = ADAM_BETA2 * self._v[name] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            p.value = Tensor(p.value.array - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 class TrainingSample:
@@ -101,10 +103,19 @@ def _assemble(triplet, object_id: int) -> TrainingSample:
     )
 
 
+def _check_sizes(videos) -> None:
+    """Every frame of every clip must fit the feature grid; checked up front
+    so a bad clip fails before the first iteration."""
+    for video in videos:
+        for t, frame in enumerate(video.frames):
+            check_grid(frame.shape[:2], f"sequence {video.name} frame {t}")
+
+
 def make_pretrain_sampler(videos):
     """Static-image stage: warp one annotated frame into a fake triplet."""
     if not videos:
         raise ValueError("pretraining needs at least one sequence")
+    _check_sizes(videos)
 
     def sample(rng) -> TrainingSample:
         video = videos[int(rng.integers(len(videos)))]
@@ -121,6 +132,7 @@ def make_finetune_sampler(videos, max_skip: int = 5):
     """Video stage: real triplets in temporal order with random skip."""
     if not videos:
         raise ValueError("fine-tuning needs at least one sequence")
+    _check_sizes(videos)
 
     def sample(rng) -> TrainingSample:
         video = videos[int(rng.integers(len(videos)))]

@@ -209,8 +209,8 @@ def check_cm_gamma_zero_identity() -> CheckResult:
 
 def check_gram_psd() -> CheckResult:
     rng = make_rng(114)
-    flat = rng.standard_normal((30, 6))
-    gram = flat.T @ flat
+    flat = Tensor(rng.standard_normal((30, 6)))
+    gram = ops.matmul(ops.transpose(flat), flat).array
     sym = float(np.abs(gram - gram.T).max())
     eig = float(np.linalg.eigvalsh(gram).min())
     ok = sym < 1e-12 and eig >= -1e-9

@@ -10,7 +10,6 @@ from npmca.attention import (
     channel_attention_map,
     cm_forward,
     init_cm_state,
-    strengthen,
 )
 from npmca.autodiff import Tape
 from npmca.matching import FeatureMap
@@ -63,21 +62,6 @@ class TestChannelAttentionMap:
         assert_allclose(gram, gram.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-9
-
-
-class TestStrengthen:
-    def test_identity_attention_is_identity(self):
-        rng = make_rng(23)
-        flat = rng.normal(size=(7, 3))
-        out = strengthen(Tensor(flat), Tensor(np.eye(3))).array
-        assert_allclose(out, flat)
-
-    def test_matches_loop_oracle(self):
-        rng = make_rng(24)
-        flat = rng.normal(size=(6, 4))
-        a = rng.uniform(size=(4, 4))
-        out = strengthen(Tensor(flat), Tensor(a)).array
-        assert_allclose(out, oracles.matmul_loops(flat, a), atol=1e-12, rtol=0)
 
 
 class TestCmForward:

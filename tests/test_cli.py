@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from npmca import cli, ops
-from npmca.datagen import load_sequence
+from npmca.datagen import generate_sequence, load_sequence, random_scene, write_sequence
 from npmca.metrics import EvalReport, evaluate_sequence
 from npmca.model import ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from npmca.netpbm import read_pgm, write_pgm
@@ -196,6 +196,21 @@ class TestTrain:
         assert re.search(r"sequence seq00000 frame \d+ has an empty mask", err), err
         assert "Traceback" not in err
 
+    def test_size_off_the_grid_fails_before_the_first_iteration(self, tmp_path, capsys):
+        # gen refuses 30x50, so the odd clip is written directly; seed 3
+        # first draws it at iteration 8, after 7 logged rows
+        data, out = str(tmp_path / "data"), tmp_path / "run"
+        for i, size in enumerate([(32, 48)] * 3 + [(30, 50)]):
+            write_sequence(data, generate_sequence(random_scene(i, "default", size, 4), i, f"seq{i:05d}"))
+        argv = ["train", "--data", data, "--out", out, "--stage", "pretrain",
+                "--iterations", 40, "--batch", 1, "--seed", 3]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "seq00003" in err and "30x50" in err, err
+        log = out / "loss.csv"
+        assert not log.exists() or log.read_text().splitlines() == ["iter,loss"]
+        assert not (out / "model.ckpt").exists()
+
     def test_diverged_loss_exits_three(self, dataset, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise TrainingDiverged(5, float("nan"))
@@ -323,6 +338,19 @@ class TestEval:
         assert run_cli(["eval", "--pred", pred, "--data", dataset, "--out", str(tmp_path / "r")]) == 2
         assert victim in capsys.readouterr().err
 
+    def test_loads_each_sequence_once(self, dataset, tmp_path, monkeypatch):
+        pred = str(tmp_path / "pred")
+        self.copy_gt_as_predictions(dataset, pred)
+        loaded = []
+
+        def counting(root, name, *args, **kwargs):
+            loaded.append(name)
+            return load_sequence(root, name, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_sequence", counting)
+        assert run_cli(["eval", "--pred", pred, "--data", dataset, "--out", str(tmp_path / "r")]) == 0
+        assert sorted(loaded) == sorted(os.listdir(pred))
+
     def test_empty_prediction_dir(self, dataset, tmp_path):
         pred = str(tmp_path / "empty")
         os.makedirs(pred)
@@ -348,3 +376,16 @@ class TestVerify:
         out = capsys.readouterr().out
         bad = [line for line in out.splitlines() if line.startswith("[FAIL]")]
         assert any("softmax_column_stochastic" in line for line in bad)
+
+    def test_skewed_matmul_fails_gram_check(self, monkeypatch, capsys):
+        matmul = ops.matmul
+
+        def skewed(a, b):
+            out = matmul(a, b).array.copy()
+            out[0, -1] += 1.0
+            return Tensor(out)
+
+        monkeypatch.setattr(ops, "matmul", skewed)
+        assert run_cli(["verify"]) == 1
+        bad = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+        assert any("gram_symmetry_psd" in line for line in bad)

@@ -200,22 +200,80 @@ class TestForward:
         assert_allclose(out, np.broadcast_to(np.linspace(-1.0, 1.0, 16), (4, 4, 16)))
 
 
-class TestParameters:
-    def test_names_and_count(self):
-        names = list(init_model_params(0).named_parameters())
-        assert len(names) == 30
-        assert names[0] == "ref_encoder/stage1/w"
-        assert "tar_encoder/stage3/b" in names
-        assert "nlpmm_first/reduce_ref/w" in names
-        assert "nlpmm_prev/reduce_tar/b" in names
-        assert "cm_first/raw_gamma" in names and "cm_prev/raw_gamma" in names
-        assert names[-1] == "decoder/head/b"
+# The full parameter order (30 and 24 names), which the checkpoint layout
+# and Adam's state follow.
+DEFAULT_NAMES = [
+    "ref_encoder/stage1/w",
+    "ref_encoder/stage1/b",
+    "ref_encoder/stage2/w",
+    "ref_encoder/stage2/b",
+    "ref_encoder/stage3/w",
+    "ref_encoder/stage3/b",
+    "tar_encoder/stage1/w",
+    "tar_encoder/stage1/b",
+    "tar_encoder/stage2/w",
+    "tar_encoder/stage2/b",
+    "tar_encoder/stage3/w",
+    "tar_encoder/stage3/b",
+    "nlpmm_first/reduce_ref/w",
+    "nlpmm_first/reduce_ref/b",
+    "nlpmm_first/reduce_tar/w",
+    "nlpmm_first/reduce_tar/b",
+    "nlpmm_prev/reduce_ref/w",
+    "nlpmm_prev/reduce_ref/b",
+    "nlpmm_prev/reduce_tar/w",
+    "nlpmm_prev/reduce_tar/b",
+    "cm_first/raw_gamma",
+    "cm_prev/raw_gamma",
+    "fusion/w",
+    "fusion/b",
+    "decoder/refine1/w",
+    "decoder/refine1/b",
+    "decoder/refine2/w",
+    "decoder/refine2/b",
+    "decoder/head/w",
+    "decoder/head/b",
+]
 
-    def test_single_encoder_names(self):
-        names = list(init_model_params(0, ModelConfig(single_encoder=True)).named_parameters())
-        assert len(names) == 24
-        assert names[0] == "encoder/stage1/w"
-        assert not any(n.startswith("ref_encoder") or n.startswith("tar_encoder") for n in names)
+SINGLE_ENCODER_NAMES = [
+    "encoder/stage1/w",
+    "encoder/stage1/b",
+    "encoder/stage2/w",
+    "encoder/stage2/b",
+    "encoder/stage3/w",
+    "encoder/stage3/b",
+    "nlpmm_first/reduce_ref/w",
+    "nlpmm_first/reduce_ref/b",
+    "nlpmm_first/reduce_tar/w",
+    "nlpmm_first/reduce_tar/b",
+    "nlpmm_prev/reduce_ref/w",
+    "nlpmm_prev/reduce_ref/b",
+    "nlpmm_prev/reduce_tar/w",
+    "nlpmm_prev/reduce_tar/b",
+    "cm_first/raw_gamma",
+    "cm_prev/raw_gamma",
+    "fusion/w",
+    "fusion/b",
+    "decoder/refine1/w",
+    "decoder/refine1/b",
+    "decoder/refine2/w",
+    "decoder/refine2/b",
+    "decoder/head/w",
+    "decoder/head/b",
+]
+
+
+class TestParameters:
+    def test_names_and_count(self, tmp_path):
+        assert list(init_model_params(0).named_parameters()) == DEFAULT_NAMES
+        save_checkpoint(tmp_path / "model.ckpt", init_model_params(1))
+        assert list(read_checkpoint(tmp_path / "model.ckpt")) == DEFAULT_NAMES
+
+    def test_single_encoder_names(self, tmp_path):
+        config = ModelConfig(single_encoder=True)
+        assert list(init_model_params(0, config).named_parameters()) == SINGLE_ENCODER_NAMES
+        save_checkpoint(tmp_path / "model.ckpt", init_model_params(1, config))
+        assert list(read_checkpoint(tmp_path / "model.ckpt")) == SINGLE_ENCODER_NAMES
 
     def test_shapes_follow_channel_plan(self):
         p = init_model_params(0).named_parameters()
