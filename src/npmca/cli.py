@@ -22,7 +22,7 @@ from .datagen import (
     random_scene,
     write_sequence,
 )
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .metrics import EvalReport, evaluate_sequence
 from .model import GRID_STRIDE, ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from .netpbm import read_pgm
@@ -35,7 +35,11 @@ from .training import (
     train_loop,
 )
 
-_SKIP_KEYS = {"func", "config"}
+
+def _nonempty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -64,23 +68,61 @@ def _parse_scales(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-def _load_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
+def _config_tokens(path: str, command: str, sub: argparse.ArgumentParser) -> list[str]:
+    """The ``key=value`` lines of a config file as command-line tokens.
+
+    A key is a flag when its argument's default is a bool, so ``true``
+    gives ``--key`` and ``false`` gives nothing; any other key gives
+    ``--key=value``, which keeps values such as ``-3`` values.
+    """
+    tokens = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, text = line.split("=", 1)
-            values[key.strip()] = text.strip()
-    return values
+            key, sep, value = (part.strip() for part in line.partition("="))
+            where = f"config {path} line {number}"
+            if not sep or not key:
+                raise ConfigError(f"{where}: expected key=value, got {line!r}")
+            flag = "--" + key.replace("_", "-")
+            if key == "command":
+                if value != command:
+                    raise ConfigError(f"{where}: the file is for {value!r}, not {command!r}")
+            elif isinstance(sub.get_default(key), bool):
+                if value not in ("true", "false"):
+                    raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
+                if value == "true":
+                    tokens.append(flag)
+            else:
+                tokens.append(f"{flag}={value}")
+    return tokens
+
+
+def _expand_config(argv: list[str], commands: dict) -> list[str]:
+    """Replace ``--config PATH`` with the file's tokens, placed right after
+    the command name so that flags typed on the command line come later and
+    win. argparse then checks every value, whichever source it came from."""
+    for i, token in enumerate(argv):
+        if token == "--config":
+            if i + 1 == len(argv):
+                raise ConfigError("--config needs a file path")
+            path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+        elif token.startswith("--config="):
+            path, rest = token.split("=", 1)[1], argv[:i] + argv[i + 1:]
+        else:
+            continue
+        if not rest or rest[0] not in commands:
+            return rest  # argparse reports the missing or unknown command
+        return rest[:1] + _config_tokens(path, rest[0], commands[rest[0]]) + rest[1:]
+    return argv
 
 
 def _write_run_cfg(out_dir: str, command: str, args: argparse.Namespace) -> None:
     os.makedirs(out_dir, exist_ok=True)
     lines = [f"command={command}"]
     for key in sorted(vars(args)):
-        if key in _SKIP_KEYS or key == "command":
+        if key in ("command", "func"):
             continue
         value = getattr(args, key)
         if value is None:
@@ -245,34 +287,23 @@ def cmd_verify(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def _build_parser(config: dict | None) -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(prog="npmca", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def apply_config(p, name):
-        # Values stay text, so argparse converts and checks each one with
-        # its argument's own type, exactly as if it came from the command
-        # line. Only flags (bool defaults) are read here.
-        if config and config.get("command") == name:
-            p.set_defaults(**{
-                k: v == "true" if isinstance(p.get_default(k), bool) else v
-                for k, v in config.items() if k != "command"
-            })
-
     gen = sub.add_parser("gen", help="generate synthetic sequences")
-    gen.add_argument("--n", type=_positive_int, required=False, default=None)
-    gen.add_argument("--out", required=False)
+    gen.add_argument("--n", type=_positive_int, required=True)
+    gen.add_argument("--out", type=_nonempty, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--preset", choices=("default", "occlusion-heavy"), default="default")
     gen.add_argument("--resolution", type=_parse_resolution, default="64x96")
     gen.add_argument("--frames", type=int, default=8)
-    gen.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    apply_config(gen, "gen")
     gen.set_defaults(func=cmd_gen)
 
     train = sub.add_parser("train", help="train a model on a generated dataset")
-    train.add_argument("--data", required=False)
-    train.add_argument("--out", required=False)
+    train.add_argument("--data", type=_nonempty, required=True)
+    train.add_argument("--out", type=_nonempty, required=True)
     train.add_argument("--stage", choices=("pretrain", "finetune"), default="finetune")
     train.add_argument("--init-checkpoint", dest="init_checkpoint", default=None)
     train.add_argument("--iterations", type=_positive_int, default=2000)
@@ -282,14 +313,12 @@ def _build_parser(config: dict | None) -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--single-encoder", dest="single_encoder", action="store_true")
     train.add_argument("--disable-cm", dest="disable_cm", action="store_true")
-    train.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    apply_config(train, "train")
     train.set_defaults(func=cmd_train)
 
     infer = sub.add_parser("infer", help="propagate first-frame masks through sequences")
-    infer.add_argument("--data", required=False)
-    infer.add_argument("--checkpoint", required=False)
-    infer.add_argument("--out", required=False)
+    infer.add_argument("--data", type=_nonempty, required=True)
+    infer.add_argument("--checkpoint", type=_nonempty, required=True)
+    infer.add_argument("--out", type=_nonempty, required=True)
     infer.add_argument("--sequence", default=None, help="restrict to one sequence name")
     infer.add_argument("--scales", type=_parse_scales, default="0.75,1.0,1.25")
     infer.add_argument("--first-frame-only", dest="first_frame_only", action="store_true")
@@ -298,67 +327,31 @@ def _build_parser(config: dict | None) -> argparse.ArgumentParser:
     infer.add_argument("--hard-guidance", dest="hard_guidance", action="store_true")
     infer.add_argument("--soft-reference", dest="soft_reference", action="store_true")
     infer.add_argument("--dump-probs", dest="dump_probs", action="store_true")
-    infer.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    apply_config(infer, "infer")
     infer.set_defaults(func=cmd_infer)
 
     ev = sub.add_parser("eval", help="score predictions against ground truth")
-    ev.add_argument("--pred", required=False)
-    ev.add_argument("--data", required=False)
-    ev.add_argument("--out", required=False)
-    ev.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    apply_config(ev, "eval")
+    ev.add_argument("--pred", type=_nonempty, required=True)
+    ev.add_argument("--data", type=_nonempty, required=True)
+    ev.add_argument("--out", type=_nonempty, required=True)
     ev.set_defaults(func=cmd_eval)
 
     ver = sub.add_parser("verify", help="run the built-in invariant suite")
-    ver.add_argument("--out", default=None)
-    ver.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    apply_config(ver, "verify")
+    ver.add_argument("--out", type=_nonempty, default=None)
     ver.set_defaults(func=cmd_verify)
 
-    return parser
-
-
-def _extract_config(argv: list[str]) -> dict | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return _load_config_file(argv[i + 1])
-        if token.startswith("--config="):
-            return _load_config_file(token.split("=", 1)[1])
-    return None
-
-
-_REQUIRED = {
-    "gen": ("n", "out"),
-    "train": ("data", "out"),
-    "infer": ("data", "checkpoint", "out"),
-    "eval": ("pred", "data", "out"),
-    "verify": (),
-}
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = _build_parser()
     try:
-        config = _extract_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"npmca: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser(config)
-    args = parser.parse_args(argv)
-    for key in _REQUIRED[args.command]:
-        if getattr(args, key) in (None, ""):
-            parser.error(f"{args.command}: --{key.replace('_', '-')} is required")
-    try:
+        args = parser.parse_args(_expand_config(list(sys.argv[1:] if argv is None else argv), commands))
         _apply_env_seed(args)
         return args.func(args)
     except TrainingDiverged as exc:
         print(f"npmca: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
-        print(f"npmca: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, ConfigError, ShapeError, NumericError, ValueError) as exc:
+    except (OSError, ValueError, NumericError) as exc:  # ValueError covers ConfigError, FormatError, ShapeError
         print(f"npmca: {exc}", file=sys.stderr)
         return 2
 

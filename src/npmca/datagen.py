@@ -39,7 +39,9 @@ class ObjectSpec:
     """One tracked shape: geometry at t=0 plus its per-frame evolution.
 
     ``size`` is the disc radius, the rectangle half-extent, or the
-    triangle circumradius-ish half-height. ``scale_drift`` multiplies the
+    triangle circumradius-ish half-height; every shape fits in the square
+    of half-side ``size`` around its center, which placement and clamping
+    keep inside the frame. ``scale_drift`` multiplies the
     size each frame; ``color_drift`` is added to the color each frame.
     """
 
@@ -94,9 +96,9 @@ class SceneConfig:
         if not self.objects:
             raise ConfigError("a scene needs at least one object")
         for i, obj in enumerate(self.objects):
-            ey, ex = _extent(obj.shape, obj.size)
             cy, cx = obj.center
-            if cy - ey < 0 or cy + ey > h or cx - ex < 0 or cx + ex > w:
+            r = obj.size
+            if cy - r < 0 or cy + r > h or cx - r < 0 or cx + r > w:
                 raise ConfigError(f"object {i} does not fit inside the frame at t=0")
         for ev in self.occlusions:
             if ev.top >= len(self.objects):
@@ -110,11 +112,6 @@ class VideoSequence:
     name: str
     frames: list[np.ndarray]  # (H, W, 3) in [0, 1]
     masks: list[np.ndarray] | None  # (H, W) int labels, 0 = background
-
-
-def _extent(shape: str, size: float) -> tuple[float, float]:
-    """Half-height and half-width of a shape's bounding box."""
-    return size, size
 
 
 def _inside(shape: str, size: float, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -134,11 +131,10 @@ def _object_state(obj: ObjectSpec, t: int, resolution) -> tuple[float, float, fl
     clamped so the shape never leaves the frame."""
     h, w = resolution
     size = obj.size * obj.scale_drift**t
-    ey, ex = _extent(obj.shape, size)
     cy = obj.center[0] + obj.velocity[0] * t
     cx = obj.center[1] + obj.velocity[1] * t
-    cy = min(max(cy, ey), h - ey)
-    cx = min(max(cx, ex), w - ex)
+    cy = min(max(cy, size), h - size)
+    cx = min(max(cx, size), w - size)
     color = np.clip(np.asarray(obj.color) + t * np.asarray(obj.color_drift), 0.0, 1.0)
     return cy, cx, size, color
 
@@ -186,9 +182,9 @@ def random_scene(seed: int, preset: str = "default", resolution=(64, 96), frames
     def draw_object(margin_frac=0.25):
         shape = SHAPES[rng.integers(len(SHAPES))]
         size = float(rng.uniform(0.09, 0.14) * min(h, w) + 2.0)
-        ey, ex = _extent(shape, size * 1.25)  # slack for scale drift
-        cy = float(rng.uniform(ey + h * margin_frac * 0.2, h - ey - h * margin_frac * 0.2))
-        cx = float(rng.uniform(ex + w * margin_frac * 0.2, w - ex - w * margin_frac * 0.2))
+        r = size * 1.25  # slack for scale drift
+        cy = float(rng.uniform(r + h * margin_frac * 0.2, h - r - h * margin_frac * 0.2))
+        cx = float(rng.uniform(r + w * margin_frac * 0.2, w - r - w * margin_frac * 0.2))
         color = tuple(float(c) for c in rng.uniform(0.55, 1.0, size=3) * (rng.permutation([1.0, 0.75, 0.35])))
         velocity = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=2))
         scale_drift = float(rng.uniform(0.985, 1.015))
@@ -207,9 +203,9 @@ def random_scene(seed: int, preset: str = "default", resolution=(64, 96), frames
     by, bx, _, _ = _object_state(bottom, cross, (h, w))
     top_shape = SHAPES[rng.integers(len(SHAPES))]
     top_size = float(rng.uniform(0.10, 0.15) * min(h, w) + 2.0)
-    ey, ex = _extent(top_shape, top_size * 1.25)
-    start_y = float(rng.uniform(ey + 1, h - ey - 1))
-    start_x = float(ex + 1) if bx > w / 2 else float(w - ex - 1)
+    r = top_size * 1.25
+    start_y = float(rng.uniform(r + 1, h - r - 1))
+    start_x = float(r + 1) if bx > w / 2 else float(w - r - 1)
     vel = ((by - start_y) / cross, (bx - start_x) / cross)
     top = ObjectSpec(
         top_shape,
@@ -364,10 +360,6 @@ class AffineParams:
     angle: float  # radians
     scale: float
     shift: tuple[float, float] = (0.0, 0.0)  # (dy, dx) pixels
-
-    @staticmethod
-    def identity() -> "AffineParams":
-        return AffineParams(0.0, 1.0, (0.0, 0.0))
 
 
 def random_affine(rng: np.random.Generator, shape) -> AffineParams:

@@ -1,9 +1,8 @@
 """Dense float64 tensors with explicit shape metadata.
 
-A Tensor owns a C-contiguous float64 array, so ``data`` is always the flat
-row-major view of the values and reshape never moves memory. Tensors are
-treated as immutable once built: operations return new tensors and never
-write into their operands.
+A Tensor owns a C-contiguous float64 array, so reshape never moves memory.
+Tensors are treated as immutable once built: operations return new tensors
+and never write into their operands.
 """
 
 import numpy as np
@@ -42,11 +41,6 @@ class Tensor:
     def size(self) -> int:
         return self.array.size
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the values."""
-        return self.array.reshape(-1)
-
     def item(self) -> float:
         if self.array.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -59,15 +53,6 @@ class Tensor:
 
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
-
-
-def from_flat(data, shape) -> Tensor:
-    """Build a tensor from flat row-major data and a shape."""
-    flat = np.asarray(data, dtype=np.float64).reshape(-1)
-    n = int(np.prod(shape)) if len(shape) else 1
-    if flat.size != n:
-        raise ShapeError(f"flat data of length {flat.size} does not fill shape {tuple(shape)}")
-    return Tensor(flat.reshape(shape))
 
 
 class ParamTensor:

@@ -133,6 +133,9 @@ def make_finetune_sampler(videos, max_skip: int = 5):
     if not videos:
         raise ValueError("fine-tuning needs at least one sequence")
     _check_sizes(videos)
+    for video in videos:
+        if len(video.frames) < 3:
+            raise ValueError(f"sequence {video.name} has {len(video.frames)} frames, a triplet needs at least 3")
 
     def sample(rng) -> TrainingSample:
         video = videos[int(rng.integers(len(videos)))]

@@ -144,6 +144,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "positive count" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "case", ["misspelt key", "stage=pretrian", "iterations=x", "line without =", "disable_cm=yes", "gen run.cfg"]
+    )
+    def test_bad_config_is_usage_error_before_any_output(self, dataset, tmp_path, capsys, case):
+        train = ["command=train", "stage=pretrain", "iterations=1", "batch=1"]
+        lines, extra, named = {
+            "misspelt key": (train + ["iteratons=5"], [], "--iteratons=5"),
+            "stage=pretrian": (train + ["stage=pretrian"], [], "'pretrian'"),
+            "iterations=x": (train + ["iterations=x"], [], "'x'"),
+            "line without =": (train + ["batch 1"], [], "line 5"),
+            "disable_cm=yes": (train + ["disable_cm=yes"], [], "'yes'"),
+            "gen run.cfg": (open(os.path.join(dataset, "run.cfg"), encoding="utf-8").read().splitlines(),
+                            ["--stage", "pretrain", "--iterations", 1, "--batch", 1], "'gen'"),
+        }[case]
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli(["train", "--config", cfg, "--data", dataset, "--out", out] + extra) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, err
+        assert not out.exists()
+
     def test_finetune_without_init_is_usage_error(self, dataset, tmp_path, capsys):
         code = run_cli(["train", "--data", dataset, "--out", str(tmp_path / "x"), "--stage", "finetune", "--iterations", 1])
         assert code == 2
@@ -195,6 +216,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert re.search(r"sequence seq00000 frame \d+ has an empty mask", err), err
         assert "Traceback" not in err
+
+    def test_short_clip_fails_before_the_first_iteration(self, tmp_path, capsys):
+        # seed 2 first draws the 2-frame clip at iteration 8, after 7 logged rows
+        data, out, ckpt = str(tmp_path / "data"), tmp_path / "run", str(tmp_path / "init.ckpt")
+        assert run_cli(["gen", "--n", 3, "--out", data, "--seed", 4, "--frames", 6, "--resolution", "32x48"]) == 0
+        write_sequence(data, generate_sequence(random_scene(9, "default", (32, 48), 2), 1, "seq00003"))
+        save_checkpoint(ckpt, init_model_params(0))
+        argv = ["train", "--data", data, "--out", out, "--stage", "finetune", "--init-checkpoint", ckpt,
+                "--iterations", 60, "--batch", 1, "--seed", 2]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "sequence seq00003 has 2 frames" in err, err
+        assert not (out / "loss.csv").exists()
 
     def test_size_off_the_grid_fails_before_the_first_iteration(self, tmp_path, capsys):
         # gen refuses 30x50, so the odd clip is written directly; seed 3
@@ -264,6 +298,23 @@ class TestInfer:
             assert code == 2, scales
             err = capsys.readouterr().err
             assert "scales must be finite and > 0" in err and "Traceback" not in err, scales
+
+    def test_config_replays_flags_bitwise(self, dataset, trained, tmp_path):
+        first, again = str(tmp_path / "first"), str(tmp_path / "again")
+        code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                        "--out", first, "--sequence", "seq00001", "--scales", "1.0", "--disable-cm", "--dump-probs"])
+        assert code == 0
+        assert "disable_cm=true" in open(os.path.join(first, "run.cfg"), encoding="utf-8").read().splitlines()
+        assert run_cli(["infer", "--config", os.path.join(first, "run.cfg"), "--out", again]) == 0
+        assert tree_bytes(again) == tree_bytes(first)
+
+    def test_empty_out_is_usage_error(self, dataset, trained, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                        "--out", "", "--sequence", "seq00000", "--scales", "1.0"])
+        assert code == 2
+        assert "--out: expected a non-empty path" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_non_finite_checkpoint_is_data_error(self, dataset, trained, tmp_path, capsys):
         params = init_model_params(0, ModelConfig())

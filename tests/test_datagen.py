@@ -219,7 +219,7 @@ class TestWarpPair:
 
     def test_identity_is_exact(self):
         image, mask = self._checker()
-        wi, wm = warp_pair(image, mask, AffineParams.identity())
+        wi, wm = warp_pair(image, mask, AffineParams(0.0, 1.0))
         assert np.array_equal(wi, image)
         assert np.array_equal(wm, mask)
 
