@@ -105,8 +105,10 @@ def quartiles(values) -> dict:
 
 
 def summarize(runs, end_to_end) -> dict:
-    """Per workload and metric: each side's quartiles and the head's wins
-    over the base in pairs (ties count for neither)."""
+    """Per workload and metric: each side's quartiles, the head's wins over
+    the base in pairs (ties count for neither), the head median's change
+    relative to the base median, and whether that change is worse than the
+    metric's ``bound`` (null when the base median is 0)."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -128,8 +130,12 @@ def summarize(runs, end_to_end) -> dict:
                     sides[s].append(vals[s])
                 wins += vals["head"] < vals["base"] if lower else vals["head"] > vals["base"]
             if sides["base"]:
-                metrics[name] = {"base": quartiles(sides["base"]), "head": quartiles(sides["head"]),
-                                 "head_wins": wins, "pairs": len(sides["base"]), "better": metric["better"]}
+                base, head = quartiles(sides["base"]), quartiles(sides["head"])
+                change = head["median"] / base["median"] - 1.0 if base["median"] else None
+                metrics[name] = {"base": base, "head": head, "head_wins": wins, "pairs": len(sides["base"]),
+                                 "better": metric["better"], "head_change": change,
+                                 "worse_than_bound": None if change is None
+                                 else (change if lower else -change) > metric["bound"]}
         summary[workload] = {"runs_with_failed_checks": failed, "metrics": metrics}
     return summary
 
@@ -162,6 +168,11 @@ def main(argv=None) -> int:
     finally:
         for path in checkouts.values():
             shutil.rmtree(path, ignore_errors=True)
+    for workload, entry in report["summary"].items():
+        for name, m in entry["metrics"].items():
+            if m["worse_than_bound"]:
+                print(f"{workload} {name}: head median {m['head']['median']:.4g} against base "
+                      f"{m['base']['median']:.4g} is worse than the bound", file=sys.stderr)
     return 0
 
 

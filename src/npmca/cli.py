@@ -49,6 +49,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed for ``np.random.SeedSequence``, which takes no negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _parse_resolution(text: str) -> tuple[int, int]:
     """HxW with both sides multiples of GRID_STRIDE; ``random_scene``
     enforces the smallest side."""
@@ -148,9 +159,9 @@ def _apply_env_seed(args: argparse.Namespace) -> None:
     text = os.environ.get("NPMCA_SEED")
     if "seed" in vars(args) and text:
         try:
-            args.seed = int(text)
-        except ValueError:
-            raise ConfigError(f"NPMCA_SEED must be an integer, got {text!r}") from None
+            args.seed = _seed(text)
+        except argparse.ArgumentTypeError:
+            raise ConfigError(f"NPMCA_SEED must be a non-negative integer, got {text!r}") from None
 
 
 # --- commands -----------------------------------------------------------------
@@ -231,8 +242,7 @@ def cmd_infer(args) -> int:
         if not os.path.exists(mask_path):
             print(f"infer: {name} has no first-frame mask at {mask_path}", file=sys.stderr)
             return 2
-        first_mask = read_pgm(mask_path).astype(np.int64)
-        result = infer_sequence(video, first_mask, params, options)
+        result = infer_sequence(video, read_pgm(mask_path), params, options)
         write_predictions(args.out, name, result, dump_probs=args.dump_probs)
     _write_run_cfg(args.out, "infer", args)
     print(f"segmented {len(names)} sequences into {args.out}")
@@ -259,10 +269,7 @@ def cmd_eval(args) -> int:
 
     report = EvalReport([])
     for name, masks in truth.items():
-        preds = [
-            read_pgm(os.path.join(args.pred, name, f"{t:05d}.pgm")).astype(np.int64)
-            for t in range(len(masks))
-        ]
+        preds = [read_pgm(os.path.join(args.pred, name, f"{t:05d}.pgm")) for t in range(len(masks))]
         report = report.merged(evaluate_sequence(preds, masks, name))
 
     os.makedirs(args.out, exist_ok=True)
@@ -289,19 +296,20 @@ def cmd_verify(args) -> int:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subparsers by command name."""
-    parser = argparse.ArgumentParser(prog="npmca", description=__doc__)
+    # no prefix matching: a truncated option, typed or from a config line, is refused
+    parser = argparse.ArgumentParser(prog="npmca", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate synthetic sequences")
+    gen = sub.add_parser("gen", help="generate synthetic sequences", allow_abbrev=False)
     gen.add_argument("--n", type=_positive_int, required=True)
     gen.add_argument("--out", type=_nonempty, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--preset", choices=("default", "occlusion-heavy"), default="default")
     gen.add_argument("--resolution", type=_parse_resolution, default="64x96")
     gen.add_argument("--frames", type=int, default=8)
     gen.set_defaults(func=cmd_gen)
 
-    train = sub.add_parser("train", help="train a model on a generated dataset")
+    train = sub.add_parser("train", help="train a model on a generated dataset", allow_abbrev=False)
     train.add_argument("--data", type=_nonempty, required=True)
     train.add_argument("--out", type=_nonempty, required=True)
     train.add_argument("--stage", choices=("pretrain", "finetune"), default="finetune")
@@ -310,12 +318,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     train.add_argument("--lr", type=float, default=None, help="default: 1e-4 pretrain, 1e-5 finetune")
     train.add_argument("--batch", type=_positive_int, default=4)
     train.add_argument("--max-skip", dest="max_skip", type=_positive_int, default=5)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--single-encoder", dest="single_encoder", action="store_true")
     train.add_argument("--disable-cm", dest="disable_cm", action="store_true")
     train.set_defaults(func=cmd_train)
 
-    infer = sub.add_parser("infer", help="propagate first-frame masks through sequences")
+    infer = sub.add_parser("infer", help="propagate first-frame masks through sequences", allow_abbrev=False)
     infer.add_argument("--data", type=_nonempty, required=True)
     infer.add_argument("--checkpoint", type=_nonempty, required=True)
     infer.add_argument("--out", type=_nonempty, required=True)
@@ -329,13 +337,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     infer.add_argument("--dump-probs", dest="dump_probs", action="store_true")
     infer.set_defaults(func=cmd_infer)
 
-    ev = sub.add_parser("eval", help="score predictions against ground truth")
+    ev = sub.add_parser("eval", help="score predictions against ground truth", allow_abbrev=False)
     ev.add_argument("--pred", type=_nonempty, required=True)
     ev.add_argument("--data", type=_nonempty, required=True)
     ev.add_argument("--out", type=_nonempty, required=True)
     ev.set_defaults(func=cmd_eval)
 
-    ver = sub.add_parser("verify", help="run the built-in invariant suite")
+    ver = sub.add_parser("verify", help="run the built-in invariant suite", allow_abbrev=False)
     ver.add_argument("--out", type=_nonempty, default=None)
     ver.set_defaults(func=cmd_verify)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, FormatError
-from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from .netpbm import read_pgm, read_ppm, to_unit_float, write_pgm, write_ppm
 from .rng import make_rng, spawn_rng
 from .tensor import Tensor
 
@@ -110,8 +110,8 @@ class SceneConfig:
 @dataclass
 class VideoSequence:
     name: str
-    frames: list[np.ndarray]  # (H, W, 3) in [0, 1]
-    masks: list[np.ndarray] | None  # (H, W) int labels, 0 = background
+    frames: list[np.ndarray]  # (H, W, 3): uint8 as loaded, floats in [0, 1] as generated
+    masks: list[np.ndarray] | None  # (H, W) int labels, 0 = background; uint8 as loaded
 
 
 def _inside(shape: str, size: float, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -330,6 +330,8 @@ def list_sequences(root) -> list[str]:
 
 
 def load_sequence(root, name: str, with_masks: bool = True) -> VideoSequence:
+    """The bytes the files hold: (H, W, 3) uint8 frames and (H, W) uint8
+    masks; ``netpbm.to_unit_float`` turns a frame into model input."""
     base = os.path.join(root, name)
     frame_dir = os.path.join(base, "frames")
     if not os.path.isdir(frame_dir):
@@ -348,7 +350,7 @@ def load_sequence(root, name: str, with_masks: bool = True) -> VideoSequence:
             raise FormatError(
                 f"sequence {name}: {len(frame_files)} frames but {len(mask_files)} masks"
             )
-        masks = [read_pgm(os.path.join(mask_dir, f)).astype(np.int64) for f in mask_files]
+        masks = [read_pgm(os.path.join(mask_dir, f)) for f in mask_files]
     return VideoSequence(name, frames, masks)
 
 
@@ -378,7 +380,7 @@ def warp_pair(image: np.ndarray, mask: np.ndarray, params: AffineParams):
     from the same inverse-mapped source coordinates, so they stay aligned
     pixel for pixel. Out-of-frame samples clamp to the border.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = to_unit_float(image)
     mask = np.asarray(mask)
     h, w = mask.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0

@@ -3,6 +3,9 @@
 Readers parse headers token by token and report failures with the byte
 offset at which the file stopped making sense. Writers emit a canonical
 header, so writing the same array twice produces identical bytes.
+
+Readers return the bytes a file holds, uint8 frames and masks;
+``to_unit_float`` turns a frame into the float64 values the model takes.
 """
 
 import numpy as np
@@ -120,9 +123,17 @@ def _read(path, magic: str, channels: int) -> np.ndarray:
     return arr.reshape(height, width, channels).copy()
 
 
+def to_unit_float(image) -> np.ndarray:
+    """A uint8 image as float64 in [0, 1]; float input passes through unchanged."""
+    image = np.asarray(image)
+    if image.dtype == np.uint8:
+        return image.astype(np.float64) / 255.0
+    return image.astype(np.float64, copy=False)
+
+
 def read_ppm(path) -> np.ndarray:
-    """Read binary P6 into an (H, W, 3) float array in [0, 1]."""
-    return _read(path, "P6", 3).astype(np.float64) / 255.0
+    """Read binary P6 into an (H, W, 3) uint8 array."""
+    return _read(path, "P6", 3)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -202,10 +202,12 @@ def matmul(a, b) -> Tensor:
 def _softmax_columns_inplace(m: np.ndarray, out=None) -> np.ndarray:
     """Column softmax of a finite matrix, written into ``out`` (which may be
     ``m`` itself) or into a fresh array when ``out`` is None. Raises
-    ``NumericError`` on any non-finite entry."""
-    if not np.all(np.isfinite(m)):
+    ``NumericError`` on any non-finite entry: a NaN or a +inf makes its
+    column's max non-finite, a -inf its column's min."""
+    col_max = m.max(axis=0, keepdims=True)
+    if not (np.isfinite(col_max).all() and np.isfinite(m.min(axis=0)).all()):
         raise NumericError("softmax_columns: input contains non-finite values")
-    out = np.subtract(m, m.max(axis=0, keepdims=True), out=out)
+    out = np.subtract(m, col_max, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=0, keepdims=True)
     return out

@@ -17,7 +17,7 @@ import numpy as np
 from . import ops
 from .errors import ShapeError
 from .model import GRID_STRIDE, ModelParams, encode_reference_image, forward_single_object
-from .netpbm import probability_to_byte, write_pgm
+from .netpbm import probability_to_byte, to_unit_float, write_pgm
 from .tensor import Tensor
 
 CLAMP_EPS = 1e-7
@@ -26,7 +26,7 @@ DEFAULT_SCALES = (0.75, 1.0, 1.25)
 
 def mask_out_background(rgb: np.ndarray, mask: np.ndarray, object_id: int) -> np.ndarray:
     """Zero every pixel that does not belong to the object."""
-    rgb = np.asarray(rgb, dtype=np.float64)
+    rgb = to_unit_float(rgb)
     mask = np.asarray(mask)
     if object_id < 1:
         raise ValueError(f"object ids start at 1, got {object_id}")
@@ -95,7 +95,7 @@ def _resize_plane(plane: np.ndarray, h: int, w: int) -> np.ndarray:
 
 @dataclass
 class InferResult:
-    masks: list[np.ndarray]  # one (H, W) label raster per frame, actual object ids
+    masks: list[np.ndarray]  # one (H, W) uint8 label raster per frame, actual object ids
     stacks: list[np.ndarray]  # (M+1, H, W) distributions; frame 0 is one-hot truth
     object_ids: list[int]
 
@@ -103,7 +103,12 @@ class InferResult:
 def infer_sequence(
     video, first_mask: np.ndarray, params: ModelParams, options: InferenceOptions = InferenceOptions()
 ) -> InferResult:
-    """Propagate the first-frame mask through the whole sequence."""
+    """Propagate the first-frame mask through the whole sequence.
+
+    Object ids must lie in 1..255, the values a PGM label raster holds.
+    Each frame is turned into float64 once, however many objects and
+    scales then read it.
+    """
     frames = video.frames
     if not frames:
         raise ValueError(f"sequence {video.name} has no frames")
@@ -115,6 +120,8 @@ def infer_sequence(
     object_ids = sorted(int(v) for v in np.unique(first_mask) if v != 0)
     if not object_ids:
         raise ValueError("first-frame mask contains no objects")
+    if object_ids[0] < 1 or object_ids[-1] > 255:
+        raise ValueError(f"object ids must lie in 1..255, got {object_ids}")
     h, w = first_mask.shape
     m = len(object_ids)
 
@@ -123,33 +130,36 @@ def infer_sequence(
     for j, oid in enumerate(object_ids, start=1):
         one_hot[j] = first_mask == oid
 
-    masks = [first_mask.astype(np.int64)]
+    masks = [first_mask.astype(np.uint8)]
     stacks = [one_hot]
 
     sizes = [( _scaled_size(h, s), _scaled_size(w, s)) for s in options.scales]
+    first_rgb = to_unit_float(frames[0])
     first_cache: dict[tuple[int, int], object] = {}
 
     def first_reference(oid: int, size_idx: int, sh: int, sw: int):
         key = (oid, size_idx)
         if options.cache_first_features and key in first_cache:
             return first_cache[key]
-        masked = mask_out_background(frames[0], first_mask, oid)
+        masked = mask_out_background(first_rgb, first_mask, oid)
         features = encode_reference_image(params, _resize_rgb(masked, sh, sw))
         if options.cache_first_features:
             first_cache[key] = features
         return features
 
+    prev_rgb = first_rgb
     for t in range(1, len(frames)):
+        cur_rgb = to_unit_float(frames[t])
         per_object = np.zeros((m, h, w))
         for j, oid in enumerate(object_ids):
             if options.first_frame_only:
-                ref_frame, ref_mask = frames[0], masks[0]
+                ref_frame, ref_mask = first_rgb, masks[0]
                 guidance = (masks[0] == oid).astype(np.float64)
             else:
-                ref_frame, ref_mask = frames[t - 1], masks[t - 1]
+                ref_frame, ref_mask = prev_rgb, masks[t - 1]
                 guidance = stacks[t - 1][j + 1] if options.soft_guidance else (ref_mask == oid).astype(np.float64)
             if options.soft_reference_mask and not options.first_frame_only:
-                prev_masked = np.asarray(ref_frame, dtype=np.float64) * stacks[t - 1][j + 1][:, :, None]
+                prev_masked = ref_frame * stacks[t - 1][j + 1][:, :, None]
             else:
                 prev_masked = mask_out_background(ref_frame, ref_mask, oid)
 
@@ -159,7 +169,7 @@ def infer_sequence(
                     params,
                     first_masked=None,
                     prev_masked=_resize_rgb(prev_masked, sh, sw),
-                    cur_rgb=_resize_rgb(np.asarray(frames[t], dtype=np.float64), sh, sw),
+                    cur_rgb=_resize_rgb(cur_rgb, sh, sw),
                     guidance=_resize_plane(guidance, sh, sw),
                     disable_cm=options.disable_cm,
                     first_features=first_reference(oid, size_idx, sh, sw),
@@ -168,11 +178,12 @@ def infer_sequence(
             per_object[j] = acc / len(sizes)
 
         merged = aggregate_multi_object(per_object)
-        label_raster = np.zeros((h, w), dtype=np.int64)
+        label_raster = np.zeros((h, w), dtype=np.uint8)
         for j, oid in enumerate(object_ids, start=1):
             label_raster[merged.labels == j] = oid
         masks.append(label_raster)
         stacks.append(merged.probabilities)
+        prev_rgb = cur_rgb
     return InferResult(masks, stacks, object_ids)
 
 

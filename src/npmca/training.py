@@ -5,7 +5,8 @@ guidance, ground truth) tuples, the forward pass runs on a fresh tape per
 sample, batch gradients are averaged by scaling each sample's loss, and
 Adam applies the update. The pretraining stage fakes motion by warping a
 single annotated frame three ways; the video stage samples real triplets
-with a bounded random frame skip.
+with a bounded random frame skip. Loaded clips hold uint8 frames, and a
+sampler turns only the frames it draws into float64.
 
 The samples of one batch run concurrently on a thread pool (numpy's BLAS
 and most array kernels release the interpreter lock), as many threads as
@@ -26,6 +27,7 @@ from .datagen import sample_triplet_indices, synth_pretrain_pair
 from .errors import NpmcaError
 from .metrics import iou_loss
 from .model import ModelParams, check_grid, forward_single_object
+from .netpbm import to_unit_float
 from .propagation import mask_out_background
 from .rng import spawn_rng
 from .tensor import Tensor
@@ -97,7 +99,7 @@ def _assemble(triplet, object_id: int) -> TrainingSample:
     return TrainingSample(
         first_masked=mask_out_background(f0, m0, object_id),
         prev_masked=mask_out_background(fp, mp, object_id),
-        cur_rgb=np.asarray(ft, dtype=np.float64),
+        cur_rgb=to_unit_float(ft),
         guidance=(np.asarray(mp) == object_id).astype(np.float64),
         target=(np.asarray(mt) == object_id).astype(np.float64),
     )
@@ -122,7 +124,7 @@ def make_pretrain_sampler(videos):
         t = int(rng.integers(len(video.frames)))
         where = f"sequence {video.name} frame {t}"
         _object_ids(video.masks[t], where)
-        triplet = synth_pretrain_pair(video.frames[t], video.masks[t], int(rng.integers(1 << 31)))
+        triplet = synth_pretrain_pair(to_unit_float(video.frames[t]), video.masks[t], int(rng.integers(1 << 31)))
         return _assemble(triplet, _pick_object(triplet[0][1], rng, f"{where} after warping"))
 
     return sample

@@ -20,7 +20,7 @@ from .datagen import sample_triplet_indices
 from .matching import FeatureMap
 from .metrics import contour_f, iou_loss, region_j
 from .model import ModelConfig, forward_single_object, init_model_params, load_checkpoint, save_checkpoint
-from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from .netpbm import read_pgm, read_ppm, to_unit_float, write_pgm, write_ppm
 from .rng import make_rng
 from .tensor import Tensor
 
@@ -295,7 +295,7 @@ def check_netpbm_roundtrip() -> CheckResult:
         write_pgm(os.path.join(tmp, "m.pgm"), mask)
         write_ppm(os.path.join(tmp, "i.ppm"), rgb)
         mask_back = read_pgm(os.path.join(tmp, "m.pgm"))
-        rgb_back = read_ppm(os.path.join(tmp, "i.ppm"))
+        rgb_back = to_unit_float(read_ppm(os.path.join(tmp, "i.ppm")))
     ok = np.array_equal(mask_back, mask) and np.allclose(rgb_back, rgb, atol=1e-12)
     return CheckResult("netpbm_roundtrip", ok, "round trip exact" if ok else "round trip drifted", "exact")
 

@@ -112,6 +112,24 @@ class TestGen:
         assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "x")
 
+    def test_negative_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NPMCA_SEED", "-3")
+        assert run_cli(["gen", "--n", 1, "--out", str(tmp_path / "x"), "--resolution", "32x48"]) == 2
+        err = capsys.readouterr().err
+        assert "NPMCA_SEED must be a non-negative integer, got '-3'" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_seed_is_usage_error_naming_flag_and_value(self, dataset, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        argv = {"gen": ["gen", "--n", 1], "train": ["train", "--data", dataset, "--stage", "pretrain"]}[command]
+        assert run_cli(argv + ["--out", out, "--seed", -3]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got '-3'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_run_cfg_records_resolved_arguments(self, dataset):
         lines = open(os.path.join(dataset, "run.cfg"), encoding="utf-8").read().splitlines()
         assert "command=gen" in lines
@@ -145,7 +163,8 @@ class TestTrain:
         assert "positive count" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "case", ["misspelt key", "stage=pretrian", "iterations=x", "line without =", "disable_cm=yes", "gen run.cfg"]
+        "case", ["misspelt key", "stage=pretrian", "iterations=x", "line without =", "disable_cm=yes", "gen run.cfg",
+                 "init=x", "max=3"]
     )
     def test_bad_config_is_usage_error_before_any_output(self, dataset, tmp_path, capsys, case):
         train = ["command=train", "stage=pretrain", "iterations=1", "batch=1"]
@@ -157,12 +176,22 @@ class TestTrain:
             "disable_cm=yes": (train + ["disable_cm=yes"], [], "'yes'"),
             "gen run.cfg": (open(os.path.join(dataset, "run.cfg"), encoding="utf-8").read().splitlines(),
                             ["--stage", "pretrain", "--iterations", 1, "--batch", 1], "'gen'"),
+            # no prefix matching: these are not --init-checkpoint and --max-skip
+            "init=x": (train + ["init=x"], [], "--init=x"),
+            "max=3": (train + ["max=3"], [], "--max=3"),
         }[case]
         cfg, out = tmp_path / "run.cfg", tmp_path / "x"
         cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run_cli(["train", "--config", cfg, "--data", dataset, "--out", out] + extra) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    def test_abbreviated_option_is_usage_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(["train", "--data", dataset, "--out", out, "--stage", "pretrain", "--iter", 5]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --iter 5" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_finetune_without_init_is_usage_error(self, dataset, tmp_path, capsys):

@@ -26,6 +26,7 @@ from npmca.datagen import (
     write_sequence,
 )
 from npmca.errors import ConfigError, FormatError
+from npmca.netpbm import probability_to_byte, to_unit_float
 from npmca.rng import make_rng
 
 
@@ -189,8 +190,21 @@ class TestDatasetLayout:
         for got, want in zip(loaded.masks, video.masks):
             assert np.array_equal(got, want)
         for got, want in zip(loaded.frames, video.frames):
-            assert np.abs(got - want).max() <= 0.5 / 255.0 + 1e-12  # 8-bit quantization
+            assert np.abs(to_unit_float(got) - want).max() <= 0.5 / 255.0 + 1e-12  # 8-bit quantization
         assert (tmp_path / "seq00" / "scene.cfg").exists()
+
+    def test_load_keeps_the_file_bytes(self, tmp_path):
+        video = generate_sequence(random_scene(3, "default", (16, 24), 3), 3, "seq00")
+        write_sequence(tmp_path, video)
+        loaded = load_sequence(tmp_path, "seq00")
+        assert all(f.dtype == np.uint8 and f.shape == (16, 24, 3) for f in loaded.frames)
+        assert all(m.dtype == np.uint8 and m.shape == (16, 24) for m in loaded.masks)
+        for frame, generated in zip(loaded.frames, video.frames):
+            # the conversion the readers made before they returned bytes
+            assert to_unit_float(frame).tobytes() == (frame.astype(np.float64) / 255.0).tobytes()
+            assert np.array_equal(frame, probability_to_byte(generated))
+        # generated clips are float already and pass through as they are
+        assert to_unit_float(video.frames[0]) is video.frames[0]
 
     def test_listing_is_sorted(self, tmp_path):
         for name in ("b", "a", "c"):

@@ -229,6 +229,21 @@ class TestNlpmmForward:
         with pytest.raises(NumericError, match="non-finite"):
             nlpmm_forward(FeatureMap(tape.watch(f_ref)), FeatureMap(tape.watch(f_tar)), p, tape)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_one_negative_infinite_similarity_is_rejected(self, taped):
+        # reference row 2 meets every target row at -inf, while each
+        # similarity column keeps a finite max
+        rng = make_rng(15)
+        ref = rng.normal(size=(6, 3))
+        ref[2, 1] = -np.inf
+        tar = rng.normal(size=(6, 3))
+        tar[:, 1] = np.abs(tar[:, 1]) + 0.5
+        tape = Tape() if taped else None
+        args = (tape.watch(ref), tape.watch(tar)) if taped else (Tensor(ref), Tensor(tar))
+        with pytest.raises(NumericError, match="non-finite"):
+            ops.softmax_match(*args)
+
     def test_shape_mismatch_rejected(self):
         rng = make_rng(10)
         p = random_params(rng, 4)

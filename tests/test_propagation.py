@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from npmca import oracles
-from npmca.datagen import generate_sequence, random_scene
+from npmca.datagen import VideoSequence, generate_sequence, load_sequence, random_scene, write_sequence
 from npmca.errors import ShapeError
 from npmca.model import ModelConfig, init_model_params
 from npmca.propagation import (
@@ -17,7 +17,7 @@ from npmca.propagation import (
     mask_out_background,
     write_predictions,
 )
-from npmca.netpbm import read_pgm
+from npmca.netpbm import read_pgm, to_unit_float
 from npmca.rng import make_rng
 
 
@@ -198,3 +198,35 @@ class TestInferSequence:
         assert np.array_equal(raster.astype(np.int64), result.masks[1])
         first_prob = read_pgm(f"{base}/probs/00001_00.pgm")
         assert first_prob.shape == (32, 48)
+
+
+class TestLoadedClips:
+    """Clips loaded as file bytes give what the same clips converted to
+    float64 up front give, bit for bit."""
+
+    @pytest.mark.parametrize("options", [
+        InferenceOptions(),
+        InferenceOptions(first_frame_only=True, soft_guidance=False),
+        InferenceOptions(scales=(1.0,), soft_reference_mask=True, cache_first_features=False),
+    ], ids=["default", "first-frame-only-hard", "soft-reference-uncached"])
+    def test_stacks_and_labels_equal_float_clips(self, tmp_path, options):
+        write_sequence(tmp_path, generate_sequence(random_scene(9, "occlusion-heavy", (32, 48), 4), 9, "seq"))
+        loaded = load_sequence(tmp_path, "seq")
+        converted = VideoSequence("seq", [to_unit_float(f) for f in loaded.frames], [m.astype(np.int64) for m in loaded.masks])
+        params = init_model_params(0, ModelConfig())
+        got = infer_sequence(loaded, loaded.masks[0], params, options)
+        want = infer_sequence(converted, converted.masks[0], params, options)
+        assert got.object_ids == want.object_ids == [1, 2]
+        for a, b in zip(got.masks, want.masks):
+            assert a.dtype == b.dtype == np.uint8
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(got.stacks, want.stacks):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("bad_id", [256, 300, -1])
+    def test_ids_a_pgm_cannot_hold_are_refused(self, bad_id):
+        video, params = tiny_setup(9)
+        first = video.masks[0].astype(np.int64)
+        first[first == 1] = bad_id
+        with pytest.raises(ValueError, match=r"object ids must lie in 1\.\.255"):
+            infer_sequence(video, first, params)

@@ -90,6 +90,16 @@ class TestSoftmaxColumns:
         with pytest.raises(NumericError):
             ops.softmax_columns(Tensor(m))
 
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_rejected(self, value, taped):
+        # a -inf leaves its column's max finite; only the column min shows it
+        m = rng.normal(size=(5, 4))
+        m[3, 2] = value
+        x = Tape().watch(m) if taped else Tensor(m)
+        with pytest.raises(NumericError, match="non-finite"):
+            ops.softmax_columns(x)
+
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.integers(2, 12),

@@ -14,13 +14,16 @@ from npmca.autodiff import Tape, zero_gradients
 from npmca.datagen import (
     VideoSequence,
     generate_sequence,
+    load_sequence,
     random_scene,
     sample_triplet_indices,
     synth_pretrain_pair,
+    write_sequence,
 )
 from npmca.errors import ShapeError
 from npmca.metrics import iou_loss
 from npmca.model import forward_single_object, init_model_params
+from npmca.netpbm import to_unit_float
 from npmca.rng import spawn_rng
 from npmca.training import Adam, make_finetune_sampler, make_pretrain_sampler, sample_workers, train_loop
 
@@ -202,3 +205,22 @@ class TestSamplers:
             triplet = synth_pretrain_pair(video.frames[t], video.masks[t], int(replay.integers(1 << 31)))
             replay.integers(object_count(triplet[0][1]))
         assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("stage", ["finetune", "pretrain"])
+def test_loaded_clips_train_bitwise_as_float_clips(videos, tmp_path, stage):
+    """uint8 clips as loaded train to the losses and parameters of the same
+    clips converted to float64 up front."""
+    for video in videos:
+        write_sequence(tmp_path, video)
+    loaded = [load_sequence(tmp_path, v.name) for v in videos]
+    assert loaded[0].frames[0].dtype == np.uint8
+    converted = [VideoSequence(v.name, [to_unit_float(f) for f in v.frames], [m.astype(np.int64) for m in v.masks])
+                 for v in loaded]
+    make = make_finetune_sampler if stage == "finetune" else make_pretrain_sampler
+    runs = []
+    for clips in (loaded, converted):
+        params = init_model_params(0)
+        losses = train_loop(params, make(clips), iterations=2, lr=1e-3, batch_size=2, seed=4)
+        runs.append((losses, [p.value.array.tobytes() for p in params.named_parameters().values()]))
+    assert runs[0] == runs[1]
