@@ -331,7 +331,11 @@ def list_sequences(root) -> list[str]:
 
 def load_sequence(root, name: str, with_masks: bool = True) -> VideoSequence:
     """The bytes the files hold: (H, W, 3) uint8 frames and (H, W) uint8
-    masks; ``netpbm.to_unit_float`` turns a frame into model input."""
+    masks; ``netpbm.to_unit_float`` turns a frame into model input.
+
+    Raises FormatError, naming the file, when a frame or mask is not the
+    size of frame 0.
+    """
     base = os.path.join(root, name)
     frame_dir = os.path.join(base, "frames")
     if not os.path.isdir(frame_dir):
@@ -340,6 +344,8 @@ def load_sequence(root, name: str, with_masks: bool = True) -> VideoSequence:
     if not frame_files:
         raise FileNotFoundError(f"sequence {name} contains no frames")
     frames = [read_ppm(os.path.join(frame_dir, f)) for f in frame_files]
+    size = frames[0].shape[:2]
+    _check_sizes(name, "frames", frame_files, frames, size, frame_files[0])
     masks = None
     if with_masks:
         mask_dir = os.path.join(base, "masks")
@@ -351,7 +357,18 @@ def load_sequence(root, name: str, with_masks: bool = True) -> VideoSequence:
                 f"sequence {name}: {len(frame_files)} frames but {len(mask_files)} masks"
             )
         masks = [read_pgm(os.path.join(mask_dir, f)) for f in mask_files]
+        _check_sizes(name, "masks", mask_files, masks, size, frame_files[0])
     return VideoSequence(name, frames, masks)
+
+
+def _check_sizes(name: str, subdir: str, files, arrays, size, first_file: str) -> None:
+    """Every frame and mask of a clip has frame 0's (H, W)."""
+    for fname, array in zip(files, arrays):
+        if array.shape[:2] != size:
+            raise FormatError(
+                f"sequence {name}: {subdir}/{fname} is {array.shape[0]}x{array.shape[1]}, "
+                f"but frames/{first_file} is {size[0]}x{size[1]}"
+            )
 
 
 # --- pretraining pairs and triplet sampling -----------------------------------

@@ -188,12 +188,16 @@ def evaluate_sequence(preds, gts, sequence: str = "sequence") -> EvalReport:
     """Score one sequence: frame 0 is the given mask and is never scored.
 
     Objects are the non-zero labels of the first ground-truth frame; each
-    object's J and F are means over frames 1..T-1.
+    object's J and F are means over frames 1..T-1. A prediction whose size
+    differs from its truth frame raises ShapeError naming the frame.
     """
     if len(preds) != len(gts):
         raise ValueError(f"{len(preds)} predictions vs {len(gts)} ground-truth frames")
     if len(gts) < 2:
         raise ValueError("scoring needs at least two frames; frame 0 is given")
+    for t, (p, g) in enumerate(zip(preds, gts)):
+        if np.shape(p) != np.shape(g):
+            raise ShapeError(f"sequence {sequence} frame {t}: prediction {np.shape(p)} and truth {np.shape(g)} differ")
     object_ids = sorted(int(v) for v in np.unique(gts[0]) if v != 0)
     if not object_ids:
         raise ValueError("first frame contains no objects")

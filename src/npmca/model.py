@@ -247,37 +247,36 @@ def decode(fused: FeatureMap, skips: SkipStack, params: ModelParams, tape=None) 
     return ops.conv2d(x, use_param(tape, params.head.w), use_param(tape, params.head.b), stride=1, pad=0)
 
 
+def _reference_features(params: ModelParams, reference, target_shape, what: str, tape) -> FeatureMap:
+    """A reference's features: a FeatureMap as given, an image encoded
+    after its size is checked against the target's."""
+    if isinstance(reference, FeatureMap):
+        return reference
+    if np.shape(reference)[:2] != target_shape[:2]:
+        raise ShapeError(f"{what} shape {np.shape(reference)} does not match target {target_shape}")
+    return encode_reference_image(params, reference, tape)
+
+
 def forward_single_object(
     params: ModelParams,
-    first_masked: np.ndarray | None,
-    prev_masked: np.ndarray,
+    first: np.ndarray | FeatureMap,
+    prev: np.ndarray | FeatureMap,
     cur_rgb: np.ndarray,
     guidance: np.ndarray,
     tape=None,
     disable_cm: bool = False,
-    first_features: FeatureMap | None = None,
 ) -> Tensor:
     """Probability map for one tracked object on the current frame.
 
-    ``first_masked`` and ``prev_masked`` are the two reference frames with
-    their background zeroed out; ``guidance`` is the previous frame's mask
-    for this object. ``first_features`` short-circuits the first-frame
-    encoder (the caller may cache it, the first frame never changes), in
-    which case ``first_masked`` may be None. Returns an (H, W) tensor of
-    probabilities in (0, 1).
+    ``first`` and ``prev`` are the two references: each either the frame
+    with its background zeroed out or the FeatureMap that
+    ``encode_reference_image`` made of it, so a reference that does not
+    change is encoded once. ``guidance`` is the previous frame's mask for
+    this object. Returns an (H, W) tensor of probabilities in (0, 1).
     """
     cur_rgb = np.asarray(cur_rgb, dtype=np.float64)
-    if first_features is None and first_masked is None:
-        raise ValueError("either the first reference image or its features are required")
-    checked = [("previous reference", prev_masked)]
-    if first_features is None:
-        checked.append(("first reference", first_masked))
-    for name, img in checked:
-        if np.asarray(img).shape[:2] != cur_rgb.shape[:2]:
-            raise ShapeError(f"{name} shape {np.asarray(img).shape} does not match target {cur_rgb.shape}")
-
-    f_first = first_features if first_features is not None else encode_reference_image(params, first_masked, tape)
-    f_prev = encode_reference_image(params, prev_masked, tape)
+    f_first = _reference_features(params, first, cur_rgb.shape, "first reference", tape)
+    f_prev = _reference_features(params, prev, cur_rgb.shape, "previous reference", tape)
     f_tar, skips = encode_target(cur_rgb, guidance, params.tar_encoder, tape)
 
     m_first = nlpmm_forward(f_first, f_tar, params.nlpmm_first, tape)

@@ -7,6 +7,10 @@ per-scale probabilities are averaged, and the per-object maps are merged
 into one pixelwise distribution through an odds-ratio normalization. The
 winning label becomes the reference mask for the next frame while the soft
 distribution feeds the next frame's guidance channel.
+
+Frame 0's references never change, so each object's is encoded once per
+scale, before the frame loop, and those features serve every later frame
+(as the previous reference too under ``first_frame_only``).
 """
 
 import os
@@ -67,7 +71,6 @@ class InferenceOptions:
     disable_cm: bool = False
     soft_guidance: bool = True  # previous frame's aggregated P as the 4th channel
     soft_reference_mask: bool = False  # weight the previous reference by P instead of its argmax
-    cache_first_features: bool = True
 
     def __post_init__(self):
         if not self.scales:
@@ -106,8 +109,8 @@ def infer_sequence(
     """Propagate the first-frame mask through the whole sequence.
 
     Object ids must lie in 1..255, the values a PGM label raster holds.
-    Each frame is turned into float64 once, however many objects and
-    scales then read it.
+    Each frame is turned into float64 and resized to each scale once,
+    however many objects then read it.
     """
     frames = video.frames
     if not frames:
@@ -115,7 +118,7 @@ def infer_sequence(
     first_mask = np.asarray(first_mask)
     if first_mask.shape != frames[0].shape[:2]:
         raise ShapeError(
-            f"first mask {first_mask.shape} does not match frames {frames[0].shape[:2]}"
+            f"sequence {video.name}: first mask {first_mask.shape} does not match frames {frames[0].shape[:2]}"
         )
     object_ids = sorted(int(v) for v in np.unique(first_mask) if v != 0)
     if not object_ids:
@@ -133,46 +136,36 @@ def infer_sequence(
     masks = [first_mask.astype(np.uint8)]
     stacks = [one_hot]
 
-    sizes = [( _scaled_size(h, s), _scaled_size(w, s)) for s in options.scales]
+    sizes = [(_scaled_size(h, s), _scaled_size(w, s)) for s in options.scales]
     first_rgb = to_unit_float(frames[0])
-    first_cache: dict[tuple[int, int], object] = {}
-
-    def first_reference(oid: int, size_idx: int, sh: int, sw: int):
-        key = (oid, size_idx)
-        if options.cache_first_features and key in first_cache:
-            return first_cache[key]
-        masked = mask_out_background(first_rgb, first_mask, oid)
-        features = encode_reference_image(params, _resize_rgb(masked, sh, sw))
-        if options.cache_first_features:
-            first_cache[key] = features
-        return features
+    first_features = []  # [object][scale]
+    if len(frames) > 1:
+        for oid in object_ids:
+            masked = mask_out_background(first_rgb, first_mask, oid)
+            first_features.append([encode_reference_image(params, _resize_rgb(masked, sh, sw)) for sh, sw in sizes])
 
     prev_rgb = first_rgb
     for t in range(1, len(frames)):
         cur_rgb = to_unit_float(frames[t])
+        cur_scaled = [_resize_rgb(cur_rgb, sh, sw) for sh, sw in sizes]
         per_object = np.zeros((m, h, w))
         for j, oid in enumerate(object_ids):
             if options.first_frame_only:
-                ref_frame, ref_mask = first_rgb, masks[0]
+                prev = first_features[j]  # frame 0 masked by its truth, which first_features[j] encodes
                 guidance = (masks[0] == oid).astype(np.float64)
             else:
-                ref_frame, ref_mask = prev_rgb, masks[t - 1]
-                guidance = stacks[t - 1][j + 1] if options.soft_guidance else (ref_mask == oid).astype(np.float64)
-            if options.soft_reference_mask and not options.first_frame_only:
-                prev_masked = ref_frame * stacks[t - 1][j + 1][:, :, None]
-            else:
-                prev_masked = mask_out_background(ref_frame, ref_mask, oid)
+                if options.soft_reference_mask:
+                    prev_masked = prev_rgb * stacks[t - 1][j + 1][:, :, None]
+                else:
+                    prev_masked = mask_out_background(prev_rgb, masks[t - 1], oid)
+                prev = [_resize_rgb(prev_masked, sh, sw) for sh, sw in sizes]
+                guidance = stacks[t - 1][j + 1] if options.soft_guidance else (masks[t - 1] == oid).astype(np.float64)
 
             acc = np.zeros((h, w))
-            for size_idx, (sh, sw) in enumerate(sizes):
+            for k, (sh, sw) in enumerate(sizes):
                 prob = forward_single_object(
-                    params,
-                    first_masked=None,
-                    prev_masked=_resize_rgb(prev_masked, sh, sw),
-                    cur_rgb=_resize_rgb(cur_rgb, sh, sw),
-                    guidance=_resize_plane(guidance, sh, sw),
+                    params, first_features[j][k], prev[k], cur_scaled[k], _resize_plane(guidance, sh, sw),
                     disable_cm=options.disable_cm,
-                    first_features=first_reference(oid, size_idx, sh, sw),
                 ).array
                 acc += _resize_plane(prob, h, w)
             per_object[j] = acc / len(sizes)

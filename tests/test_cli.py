@@ -369,7 +369,8 @@ class TestInfer:
 
 
 class TestEval:
-    def copy_gt_as_predictions(self, dataset, pred_root):
+    @staticmethod
+    def copy_gt_as_predictions(dataset, pred_root):
         for name in sorted(os.listdir(dataset)):
             mask_dir = os.path.join(dataset, name, "masks")
             if not os.path.isdir(mask_dir):
@@ -435,6 +436,64 @@ class TestEval:
         pred = str(tmp_path / "empty")
         os.makedirs(pred)
         assert run_cli(["eval", "--pred", pred, "--data", dataset, "--out", str(tmp_path / "r")]) == 2
+
+
+class TestMixedSizes:
+    """A clip whose frames differ in size is refused by name before any output."""
+
+    @staticmethod
+    def mixed_clip(root, odd_frame):
+        data = str(root / "data")
+        assert run_cli(["gen", "--n", 1, "--out", data, "--seed", 5, "--resolution", "32x48", "--frames", 5]) == 0
+        big = generate_sequence(random_scene(6, "default", (64, 96), 5), 6, "big")
+        write_sequence(str(root / "big"), big)
+        for kind, suffix in (("frames", "ppm"), ("masks", "pgm")):
+            shutil.copy(os.path.join(root, "big", "big", kind, f"{odd_frame:05d}.{suffix}"),
+                        os.path.join(data, "seq00000", kind, f"{odd_frame:05d}.{suffix}"))
+        return data
+
+    @pytest.mark.parametrize("odd_frame", [3, 4])
+    def test_every_command_exits_two_naming_the_file(self, tmp_path, capsys, odd_frame):
+        data = self.mixed_clip(tmp_path, odd_frame)
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, init_model_params(0))
+        named = f"sequence seq00000: frames/{odd_frame:05d}.ppm is 64x96, but frames/00000.ppm is 32x48"
+        pred = tmp_path / "pred"
+        shutil.copytree(os.path.join(data, "seq00000", "masks"), pred / "seq00000")
+        runs = {
+            "infer": (["infer", "--data", data, "--checkpoint", ckpt, "--out", tmp_path / "infer"], tmp_path / "infer"),
+            "train": (["train", "--data", data, "--out", tmp_path / "train", "--stage", "pretrain",
+                       "--iterations", 2, "--batch", 1], tmp_path / "train"),
+            "eval": (["eval", "--pred", pred, "--data", data, "--out", tmp_path / "eval"], tmp_path / "eval"),
+        }
+        for command, (argv, out) in runs.items():
+            capsys.readouterr()
+            assert run_cli(argv) == 2, command
+            err = capsys.readouterr().err
+            assert named in err, (command, err)
+            assert "Traceback" not in err
+            assert not out.exists() or not any(f for _, _, files in os.walk(out) for f in files), command
+
+    def test_first_mask_of_another_size_names_the_sequence(self, dataset, trained, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        shutil.copytree(os.path.join(dataset, "seq00000"), os.path.join(data, "seq00000"))
+        write_pgm(os.path.join(data, "seq00000", "masks", "00000.pgm"), np.ones((64, 96), dtype=np.uint8))
+        out = tmp_path / "preds"
+        argv = ["infer", "--data", data, "--checkpoint", os.path.join(trained, "model.ckpt"), "--out", out]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "sequence seq00000: first mask (64, 96) does not match frames (32, 48)" in err, err
+        assert not out.exists()
+
+    def test_eval_names_the_prediction_of_another_size(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        TestEval.copy_gt_as_predictions(dataset, str(pred))
+        write_pgm(str(pred / "seq00002" / "00003.pgm"), np.zeros((64, 96), dtype=np.uint8))
+        out = tmp_path / "report"
+        assert run_cli(["eval", "--pred", pred, "--data", dataset, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "sequence seq00002 frame 3: prediction (64, 96) and truth (32, 48) differ" in err, err
+        assert not out.exists()
 
 
 class TestVerify:

@@ -206,6 +206,19 @@ class TestDatasetLayout:
         # generated clips are float already and pass through as they are
         assert to_unit_float(video.frames[0]) is video.frames[0]
 
+    @pytest.mark.parametrize("kind", ["frames", "masks"])
+    def test_a_file_of_another_size_is_refused_by_name(self, tmp_path, kind):
+        write_sequence(tmp_path, generate_sequence(random_scene(3, "default", (16, 24), 3), 3, "seq00"))
+        write_sequence(tmp_path, generate_sequence(random_scene(4, "default", (32, 48), 3), 4, "big"))
+        suffix = "ppm" if kind == "frames" else "pgm"
+        (tmp_path / "seq00" / kind / f"00002.{suffix}").write_bytes(
+            (tmp_path / "big" / kind / f"00002.{suffix}").read_bytes())
+        with pytest.raises(FormatError) as exc:
+            load_sequence(tmp_path, "seq00")
+        assert str(exc.value) == f"sequence seq00: {kind}/00002.{suffix} is 32x48, but frames/00000.ppm is 16x24"
+        if kind == "masks":  # a clip read without masks is still whole
+            assert len(load_sequence(tmp_path, "seq00", with_masks=False).frames) == 3
+
     def test_listing_is_sorted(self, tmp_path):
         for name in ("b", "a", "c"):
             video = VideoSequence(name, [np.zeros((8, 8, 3))], [np.zeros((8, 8), dtype=int)])

@@ -163,9 +163,13 @@ class TestForward:
         params = init_model_params(9)
         first, prev, cur, guid = random_inputs(rng, 16, 24)
         plain = forward_single_object(params, first, prev, cur, guid).array
-        cached = encode_reference_image(params, first)
-        reused = forward_single_object(params, first, prev, cur, guid, first_features=cached).array
-        assert np.array_equal(plain, reused)
+        first_features = encode_reference_image(params, first)
+        prev_features = encode_reference_image(params, prev)
+        as_first = forward_single_object(params, first_features, prev, cur, guid).array
+        as_prev = forward_single_object(params, first, prev_features, cur, guid).array
+        as_both = forward_single_object(params, first_features, prev_features, cur, guid).array
+        for got in (as_first, as_prev, as_both):
+            assert got.tobytes() == plain.tobytes()
 
     def test_probabilities_live_in_unit_interval(self):
         rng = make_rng(15)

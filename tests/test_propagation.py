@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from npmca import oracles
+from npmca import model, oracles, propagation
 from npmca.datagen import VideoSequence, generate_sequence, load_sequence, random_scene, write_sequence
 from npmca.errors import ShapeError
 from npmca.model import ModelConfig, init_model_params
@@ -131,15 +131,6 @@ class TestInferSequence:
         for a, b in zip(one.masks, three.masks):
             assert np.array_equal(a, b)
 
-    def test_first_feature_cache_is_invisible(self):
-        video, params = tiny_setup(2)
-        cached = infer_sequence(video, video.masks[0], params, InferenceOptions(cache_first_features=True))
-        fresh = infer_sequence(video, video.masks[0], params, InferenceOptions(cache_first_features=False))
-        for a, b in zip(cached.masks, fresh.masks):
-            assert np.array_equal(a, b)
-        for a, b in zip(cached.stacks, fresh.stacks):
-            assert np.array_equal(a, b)
-
     def test_reruns_are_bitwise_identical(self):
         video, params = tiny_setup(3)
         a = infer_sequence(video, video.masks[0], params)
@@ -200,6 +191,50 @@ class TestInferSequence:
         assert first_prob.shape == (32, 48)
 
 
+class TestReferenceEncodes:
+    """How often ``infer_sequence`` runs the reference encoder: frame 0's
+    references once per (object, scale), before the frame loop."""
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        calls = []
+
+        def counting(label, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for owner, attr, label in ((model, "encode_reference", "encode_reference"),
+                                   (propagation, "encode_reference_image", "first_reference"),
+                                   (propagation, "forward_single_object", "forward")):
+            monkeypatch.setattr(owner, attr, counting(label, getattr(owner, attr)))
+        return calls
+
+    @pytest.mark.parametrize("first_frame_only", [False, True], ids=["default", "first-frame-only"])
+    def test_encodes_per_object_scale_and_frame(self, monkeypatch, first_frame_only):
+        video, params = tiny_setup(4, "occlusion-heavy", frames=4)
+        scales = (0.75, 1.0, 1.25)
+        calls = self.record_calls(monkeypatch)
+        result = infer_sequence(video, video.masks[0], params,
+                                InferenceOptions(scales=scales, first_frame_only=first_frame_only))
+        m, s, t = len(result.object_ids), len(scales), len(video.frames)
+        assert m == 2
+        # frame 0's M*S, plus the previous reference of every later frame's M*S passes
+        assert calls.count("encode_reference") == (m * s if first_frame_only else m * s * t)
+        assert calls.count("first_reference") == m * s
+        assert calls.count("forward") == m * s * (t - 1)
+        assert max(i for i, c in enumerate(calls) if c == "first_reference") < calls.index("forward")
+
+    def test_single_frame_clip_runs_no_encoder(self, monkeypatch):
+        video, params = tiny_setup(4, "occlusion-heavy")
+        video.frames, video.masks = video.frames[:1], video.masks[:1]
+        calls = self.record_calls(monkeypatch)
+        result = infer_sequence(video, video.masks[0], params)
+        assert len(result.masks) == 1
+        assert calls == []
+
+
 class TestLoadedClips:
     """Clips loaded as file bytes give what the same clips converted to
     float64 up front give, bit for bit."""
@@ -207,8 +242,8 @@ class TestLoadedClips:
     @pytest.mark.parametrize("options", [
         InferenceOptions(),
         InferenceOptions(first_frame_only=True, soft_guidance=False),
-        InferenceOptions(scales=(1.0,), soft_reference_mask=True, cache_first_features=False),
-    ], ids=["default", "first-frame-only-hard", "soft-reference-uncached"])
+        InferenceOptions(scales=(1.0,), soft_reference_mask=True),
+    ], ids=["default", "first-frame-only-hard", "soft-reference"])
     def test_stacks_and_labels_equal_float_clips(self, tmp_path, options):
         write_sequence(tmp_path, generate_sequence(random_scene(9, "occlusion-heavy", (32, 48), 4), 9, "seq"))
         loaded = load_sequence(tmp_path, "seq")
