@@ -5,7 +5,11 @@ runs the chain below as subprocesses with ``PYTHONPATH=<export>/src``,
 ``OPENBLAS_NUM_THREADS=1`` and no ``NPMCA_SEED``: 32x48 ``gen`` with both
 presets, a short pretrain, a finetune with ``--disable-cm --max-skip 2``, a
 single-encoder pretrain, ``infer`` covering every switch with
-``--dump-probs``, ``eval`` and ``verify --out``. Each step's standard output
+``--dump-probs``, ``eval`` and ``verify --out``. The CLI writes inference
+probabilities only as 8-bit rasters, so one more step, ``stack-hashes``,
+runs the export's ``infer_sequence`` on every clip with the pretrained
+checkpoint, with default options and with ``first_frame_only``, and prints
+the sha256 of each float64 (M+1, H, W) stack. Each step's standard output
 is kept as ``<step>.stdout``. Every file of the two output trees is then
 compared byte for byte; in ``run.cfg`` and ``*.stdout`` files the export's
 path is replaced by a placeholder first, since it differs by construction.
@@ -27,7 +31,28 @@ from bench_pairs import export, git  # noqa: E402
 
 PLACEHOLDER = b"<export>"
 
-# (step, argv); "{out}" is the chain's output directory inside the export
+# the stack-hashes step: run with the chain's output directory as argv[1]
+STACK_HASHES = """
+import hashlib, os, sys
+from npmca.datagen import list_sequences, load_sequence
+from npmca.model import init_model_params, load_checkpoint
+from npmca.propagation import InferenceOptions, infer_sequence
+
+out = sys.argv[1]
+params = init_model_params(0)
+load_checkpoint(os.path.join(out, "pretrain", "model.ckpt"), params)
+for data in ("data", "occl"):
+    for name in list_sequences(os.path.join(out, data)):
+        video = load_sequence(os.path.join(out, data), name)
+        for label, first_only in (("default", False), ("first-frame-only", True)):
+            options = InferenceOptions(first_frame_only=first_only)
+            for t, stack in enumerate(infer_sequence(video, video.masks[0], params, options).stacks):
+                print(data, name, label, t, hashlib.sha256(stack.tobytes()).hexdigest())
+"""
+
+# (step, argv); "{out}" is the chain's output directory inside the export.
+# argv runs as ``python -m npmca.cli argv``, or as ``python argv`` when it
+# starts with "-c".
 CHAIN = [
     ("gen-default", ["gen", "--n", "3", "--out", "{out}/data", "--seed", "7", "--resolution", "32x48",
                      "--frames", "5"]),
@@ -52,6 +77,7 @@ CHAIN = [
                         "--scales", "0.5,1.0,1.5", "--sequence", "seq00001", "--dump-probs"]),
     ("infer-single", ["infer", "--data", "{out}/occl", "--checkpoint", "{out}/single/model.ckpt",
                       "--out", "{out}/infer-single", "--single-encoder", "--dump-probs"]),
+    ("stack-hashes", ["-c", STACK_HASHES, "{out}"]),
     ("eval-default", ["eval", "--pred", "{out}/infer-default", "--data", "{out}/data", "--out", "{out}/eval-default"]),
     ("eval-occl", ["eval", "--pred", "{out}/infer-occl", "--data", "{out}/occl", "--out", "{out}/eval-occl"]),
     ("eval-first-only", ["eval", "--pred", "{out}/infer-first-only", "--data", "{out}/occl",
@@ -75,7 +101,10 @@ def run_chain(checkout: str) -> str:
     env = {k: v for k, v in os.environ.items() if k != "NPMCA_SEED"}
     env.update(PYTHONPATH=os.path.join(checkout, "src"), OPENBLAS_NUM_THREADS="1")
     for step, argv in CHAIN:
-        cmd = [sys.executable, "-m", "npmca.cli", *(a.format(out=out) for a in argv)]
+        if argv[0] == "-c":
+            cmd = [sys.executable, "-c", argv[1], *(a.format(out=out) for a in argv[2:])]
+        else:
+            cmd = [sys.executable, "-m", "npmca.cli", *(a.format(out=out) for a in argv)]
         proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
         if proc.returncode:
             tail = proc.stderr.decode(errors="replace").strip().splitlines()[-10:]

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from . import blas
 from .datagen import (
     format_scene_cfg,
     generate_sequence,
@@ -26,7 +27,7 @@ from .errors import ConfigError, NumericError
 from .metrics import EvalReport, evaluate_sequence
 from .model import GRID_STRIDE, ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from .netpbm import read_pgm
-from .propagation import InferenceOptions, infer_sequence, write_predictions
+from .propagation import InferenceOptions, first_mask_objects, infer_sequence, write_predictions
 from .training import (
     TrainingDiverged,
     make_finetune_sampler,
@@ -214,7 +215,8 @@ def cmd_train(args) -> int:
             disable_cm=args.disable_cm,
         )
     rate = args.iterations * args.batch / (time.perf_counter() - start)
-    print(f"train: {rate:.1f} samples/s on {sample_workers(args.batch)} sample thread(s)", file=sys.stderr)
+    note = "" if blas.PINNED else "; BLAS could not be pinned to one thread, so samples ran one at a time"
+    print(f"train: {rate:.1f} samples/s on {sample_workers(args.batch)} sample thread(s){note}", file=sys.stderr)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(ckpt_path, params)
     print(f"trained {args.iterations} iterations, final loss {losses[-1]:.6f}")
@@ -236,14 +238,21 @@ def cmd_infer(args) -> int:
     if not names:
         print(f"infer: no sequences found under {args.data}", file=sys.stderr)
         return 2
+    # every clip and first mask is read and checked before the first
+    # forward pass, so a bad clip fails before anything is written
+    clips = []
     for name in names:
         video = load_sequence(args.data, name, with_masks=False)
         mask_path = os.path.join(args.data, name, "masks", "00000.pgm")
         if not os.path.exists(mask_path):
             print(f"infer: {name} has no first-frame mask at {mask_path}", file=sys.stderr)
             return 2
-        result = infer_sequence(video, read_pgm(mask_path), params, options)
-        write_predictions(args.out, name, result, dump_probs=args.dump_probs)
+        first_mask = read_pgm(mask_path)
+        first_mask_objects(video, first_mask)
+        clips.append((video, first_mask))
+    for video, first_mask in clips:
+        result = infer_sequence(video, first_mask, params, options)
+        write_predictions(args.out, video.name, result, dump_probs=args.dump_probs)
     _write_run_cfg(args.out, "infer", args)
     print(f"segmented {len(names)} sequences into {args.out}")
     return 0

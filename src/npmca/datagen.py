@@ -79,6 +79,11 @@ class OcclusionEvent:
             )
 
 
+def _check_frames(frames: int) -> None:
+    if frames < 2:
+        raise ConfigError(f"a sequence needs at least 2 frames, got {frames}")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     resolution: tuple[int, int]  # (height, width)
@@ -91,8 +96,7 @@ class SceneConfig:
         h, w = self.resolution
         if h < 8 or w < 8:
             raise ConfigError(f"resolution {h}x{w} is too small")
-        if self.frames < 2:
-            raise ConfigError(f"a sequence needs at least 2 frames, got {self.frames}")
+        _check_frames(self.frames)
         if not self.objects:
             raise ConfigError("a scene needs at least one object")
         for i, obj in enumerate(self.objects):
@@ -177,6 +181,7 @@ def random_scene(seed: int, preset: str = "default", resolution=(64, 96), frames
     h, w = resolution
     if min(h, w) < MIN_SCENE_SIDE:
         raise ConfigError(f"resolution {h}x{w}: height and width must be at least {MIN_SCENE_SIDE}")
+    _check_frames(frames)  # before the occlusion preset divides by frames // 2
     rng = spawn_rng(seed, 17)
 
     def draw_object(margin_frac=0.25):

@@ -103,6 +103,24 @@ class InferResult:
     object_ids: list[int]
 
 
+def first_mask_objects(video, first_mask) -> list[int]:
+    """The sorted object ids of a clip's first mask; raises when the clip
+    has no frames, or the mask does not fit them or holds no valid object."""
+    if not video.frames:
+        raise ValueError(f"sequence {video.name} has no frames")
+    first_mask = np.asarray(first_mask)
+    if first_mask.shape != video.frames[0].shape[:2]:
+        raise ShapeError(
+            f"sequence {video.name}: first mask {first_mask.shape} does not match frames {video.frames[0].shape[:2]}"
+        )
+    object_ids = sorted(int(v) for v in np.unique(first_mask) if v != 0)
+    if not object_ids:
+        raise ValueError(f"sequence {video.name}: first-frame mask contains no objects")
+    if object_ids[0] < 1 or object_ids[-1] > 255:
+        raise ValueError(f"sequence {video.name}: object ids must lie in 1..255, got {object_ids}")
+    return object_ids
+
+
 def infer_sequence(
     video, first_mask: np.ndarray, params: ModelParams, options: InferenceOptions = InferenceOptions()
 ) -> InferResult:
@@ -113,18 +131,8 @@ def infer_sequence(
     however many objects then read it.
     """
     frames = video.frames
-    if not frames:
-        raise ValueError(f"sequence {video.name} has no frames")
     first_mask = np.asarray(first_mask)
-    if first_mask.shape != frames[0].shape[:2]:
-        raise ShapeError(
-            f"sequence {video.name}: first mask {first_mask.shape} does not match frames {frames[0].shape[:2]}"
-        )
-    object_ids = sorted(int(v) for v in np.unique(first_mask) if v != 0)
-    if not object_ids:
-        raise ValueError("first-frame mask contains no objects")
-    if object_ids[0] < 1 or object_ids[-1] > 255:
-        raise ValueError(f"object ids must lie in 1..255, got {object_ids}")
+    object_ids = first_mask_objects(video, first_mask)
     h, w = first_mask.shape
     m = len(object_ids)
 

@@ -13,7 +13,9 @@ and most array kernels release the interpreter lock), as many threads as
 ``sample_workers`` allows. Each thread returns its sample's loss and
 parameter adjoints; the calling thread adds them up in sample order, the
 same float sums in the same order as one thread would make, so losses
-and checkpoints do not depend on the worker count.
+and checkpoints do not depend on the worker count. Importing the package
+pins numpy's OpenBLAS to one thread (``npmca.blas``), so they do not
+depend on the BLAS environment variables either.
 """
 
 import os
@@ -21,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import ops
+from . import blas, ops
 from .autodiff import Tape, zero_gradients
 from .datagen import sample_triplet_indices, synth_pretrain_pair
 from .errors import NpmcaError
@@ -148,30 +150,15 @@ def make_finetune_sampler(videos, max_skip: int = 5):
     return sample
 
 
-# OpenBLAS reads its thread count from the first of these that holds a
-# positive number
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_pinned() -> bool:
-    for var in _BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return False
-
-
 def sample_workers(batch_size: int) -> int:
     """Threads ``train_loop`` runs a batch's samples on.
 
-    One per usable CPU, up to the batch size, when BLAS is pinned to one
-    thread; otherwise 1, since sample threads competing with BLAS's own
-    threads for the cores were measured slower than one sample at a time.
+    One per usable CPU, up to the batch size, when numpy's OpenBLAS is
+    pinned to one thread (``blas.PINNED``, set on import); otherwise 1,
+    since sample threads competing with BLAS's own threads for the cores
+    were measured slower than one sample at a time.
     """
-    if not _blas_pinned():
+    if not blas.PINNED:
         return 1
     # the CPUs this process may run on; not every platform can tell
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

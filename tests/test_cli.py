@@ -94,6 +94,16 @@ class TestGen:
         assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "x")
 
+    @pytest.mark.parametrize("preset", ["default", "occlusion-heavy"])
+    @pytest.mark.parametrize("frames", [0, 1])
+    def test_fewer_than_two_frames_is_usage_error(self, tmp_path, capsys, preset, frames):
+        out = tmp_path / "x"
+        assert run_cli(["gen", "--n", 1, "--out", out, "--preset", preset, "--frames", frames]) == 2
+        err = capsys.readouterr().err
+        assert f"a sequence needs at least 2 frames, got {frames}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
         plain = str(tmp_path / "plain")
         assert run_cli(["gen", "--n", 1, "--out", plain, "--seed", 99, "--resolution", "32x48", "--frames", 4]) == 0
@@ -442,14 +452,16 @@ class TestMixedSizes:
     """A clip whose frames differ in size is refused by name before any output."""
 
     @staticmethod
-    def mixed_clip(root, odd_frame):
+    def mixed_clip(root, odd_frame, clips=1):
+        """``clips`` 32x48 clips; the last one's frame ``odd_frame`` and its
+        mask are 64x96."""
         data = str(root / "data")
-        assert run_cli(["gen", "--n", 1, "--out", data, "--seed", 5, "--resolution", "32x48", "--frames", 5]) == 0
+        assert run_cli(["gen", "--n", clips, "--out", data, "--seed", 5, "--resolution", "32x48", "--frames", 5]) == 0
         big = generate_sequence(random_scene(6, "default", (64, 96), 5), 6, "big")
         write_sequence(str(root / "big"), big)
         for kind, suffix in (("frames", "ppm"), ("masks", "pgm")):
             shutil.copy(os.path.join(root, "big", "big", kind, f"{odd_frame:05d}.{suffix}"),
-                        os.path.join(data, "seq00000", kind, f"{odd_frame:05d}.{suffix}"))
+                        os.path.join(data, f"seq{clips - 1:05d}", kind, f"{odd_frame:05d}.{suffix}"))
         return data
 
     @pytest.mark.parametrize("odd_frame", [3, 4])
@@ -473,6 +485,27 @@ class TestMixedSizes:
             assert named in err, (command, err)
             assert "Traceback" not in err
             assert not out.exists() or not any(f for _, _, files in os.walk(out) for f in files), command
+
+    @pytest.mark.parametrize("bad", ["frame", "first-mask", "empty-first-mask"])
+    def test_infer_writes_nothing_when_a_later_clip_is_bad(self, tmp_path, capsys, bad):
+        if bad == "frame":
+            data = self.mixed_clip(tmp_path, 3, clips=2)
+            named = "sequence seq00001: frames/00003.ppm is 64x96, but frames/00000.ppm is 32x48"
+        else:
+            data = str(tmp_path / "data")
+            assert run_cli(["gen", "--n", 2, "--out", data, "--seed", 5, "--resolution", "32x48", "--frames", 5]) == 0
+            mask = np.ones((64, 96), np.uint8) if bad == "first-mask" else np.zeros((32, 48), np.uint8)
+            write_pgm(os.path.join(data, "seq00001", "masks", "00000.pgm"), mask)
+            named = {"first-mask": "sequence seq00001: first mask (64, 96) does not match frames (32, 48)",
+                     "empty-first-mask": "sequence seq00001: first-frame mask contains no objects"}[bad]
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, init_model_params(0))
+        out = tmp_path / "infer"
+        assert run_cli(["infer", "--data", data, "--checkpoint", ckpt, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert named in err, err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(f for _, _, files in os.walk(out) for f in files)
 
     def test_first_mask_of_another_size_names_the_sequence(self, dataset, trained, tmp_path, capsys):
         data = str(tmp_path / "data")

@@ -27,8 +27,6 @@ from npmca.netpbm import to_unit_float
 from npmca.rng import spawn_rng
 from npmca.training import Adam, make_finetune_sampler, make_pretrain_sampler, sample_workers, train_loop
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
 
 @pytest.fixture(scope="module")
 def videos():
@@ -36,11 +34,8 @@ def videos():
 
 
 @pytest.fixture
-def four_cpus_one_blas_thread(monkeypatch):
+def four_cpus(monkeypatch):
     """More sample threads than this machine may have cores."""
-    for var in BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
 
@@ -68,7 +63,7 @@ def serial_train_loop(params, sampler, iterations, lr, batch_size, seed):
 
 class TestThreadedLoop:
     @pytest.mark.parametrize("batch", [3, 4])
-    def test_equals_serial_reference_bitwise(self, videos, four_cpus_one_blas_thread, monkeypatch, batch):
+    def test_equals_serial_reference_bitwise(self, videos, four_cpus, monkeypatch, batch):
         assert sample_workers(batch) == batch
         threads = set()
         forward = training.forward_single_object
@@ -95,7 +90,7 @@ class TestThreadedLoop:
         for name, p in params.named_parameters().items():
             assert p.value.array.tobytes() == reference.named_parameters()[name].value.array.tobytes(), name
 
-    def test_sample_error_is_raised_and_no_thread_stays(self, videos, four_cpus_one_blas_thread):
+    def test_sample_error_is_raised_and_no_thread_stays(self, videos, four_cpus):
         sampler = make_finetune_sampler(videos)
         drawn = []
 
@@ -115,32 +110,16 @@ class TestThreadedLoop:
 
 class TestSampleWorkers:
     @pytest.mark.parametrize(
-        "env, batch, cpus, expected",
-        [
-            ({}, 4, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 3, 8, 3),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 1, 4, 1),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2, 1),
-            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 2, 2),
-            ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2, 1),
-            ({"OMP_NUM_THREADS": "1"}, 4, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "1"}, 4, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "abc"}, 4, 2, 1),
-        ],
+        "pinned, batch, cpus, expected",
+        [(False, 4, 2, 1), (True, 4, 2, 2), (True, 3, 8, 3), (True, 1, 4, 1)],
     )
-    def test_rule(self, monkeypatch, env, batch, cpus, expected):
-        for var in BLAS_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+    def test_rule(self, monkeypatch, pinned, batch, cpus, expected):
+        monkeypatch.setattr(training.blas, "PINNED", pinned)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert sample_workers(batch) == expected
 
     def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(training.blas, "PINNED", True)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert sample_workers(4) == 3
