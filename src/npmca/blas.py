@@ -3,8 +3,9 @@
 OpenBLAS splits a large product between its threads, and how it splits
 changes the order of the float sums, so checkpoints and probability
 stacks would depend on the host's BLAS thread count. With one BLAS
-thread they do not, and the training loop can run a batch's samples on
-threads of its own instead. numpy's wheel ships OpenBLAS under
+thread they do not, and the package runs independent passes on threads
+of its own instead (``workers``): a training batch's samples, and each
+object's scale passes at inference. numpy's wheel ships OpenBLAS under
 ``numpy.libs/``, already loaded by the time this module runs; opening it
 again with ``ctypes`` returns the loaded library, whose thread-count
 setter still takes effect. Where no setter is found (numpy on MKL,
@@ -46,3 +47,18 @@ def pin_one_thread() -> bool:
 
 
 PINNED = pin_one_thread()
+
+
+def workers(tasks: int) -> int:
+    """Threads that ``tasks`` independent passes run on.
+
+    One per usable CPU, up to ``tasks``, when numpy's OpenBLAS is pinned
+    to one thread (``PINNED``); otherwise 1, since pass threads competing
+    with BLAS's own threads for the cores were measured slower than one
+    pass at a time.
+    """
+    if not PINNED:
+        return 1
+    # the CPUs this process may run on; not every platform can tell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(tasks, cpus))

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or data error,
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -28,13 +29,7 @@ from .metrics import EvalReport, evaluate_sequence
 from .model import GRID_STRIDE, ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from .netpbm import read_pgm
 from .propagation import InferenceOptions, first_mask_objects, infer_sequence, write_predictions
-from .training import (
-    TrainingDiverged,
-    make_finetune_sampler,
-    make_pretrain_sampler,
-    sample_workers,
-    train_loop,
-)
+from .training import TrainingDiverged, make_finetune_sampler, make_pretrain_sampler, train_loop
 
 
 def _nonempty(text: str) -> str:
@@ -59,6 +54,18 @@ def _seed(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def _learning_rate(text: str) -> float:
+    """A step size for Adam: zero learns nothing, a negative one climbs the
+    loss, and a NaN or an infinity poisons every parameter."""
+    try:
+        value = float(text)
+        if math.isfinite(value) and value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
@@ -216,7 +223,7 @@ def cmd_train(args) -> int:
         )
     rate = args.iterations * args.batch / (time.perf_counter() - start)
     note = "" if blas.PINNED else "; BLAS could not be pinned to one thread, so samples ran one at a time"
-    print(f"train: {rate:.1f} samples/s on {sample_workers(args.batch)} sample thread(s){note}", file=sys.stderr)
+    print(f"train: {rate:.1f} samples/s on {blas.workers(args.batch)} sample thread(s){note}", file=sys.stderr)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(ckpt_path, params)
     print(f"trained {args.iterations} iterations, final loss {losses[-1]:.6f}")
@@ -250,10 +257,17 @@ def cmd_infer(args) -> int:
         first_mask = read_pgm(mask_path)
         first_mask_objects(video, first_mask)
         clips.append((video, first_mask))
+    frame_objects, busy = 0, 0.0
     for video, first_mask in clips:
+        start = time.perf_counter()
         result = infer_sequence(video, first_mask, params, options)
+        busy += time.perf_counter() - start
+        frame_objects += (len(result.masks) - 1) * len(result.object_ids)
         write_predictions(args.out, video.name, result, dump_probs=args.dump_probs)
     _write_run_cfg(args.out, "infer", args)
+    note = "" if blas.PINNED else "; BLAS could not be pinned to one thread, so scale passes ran one at a time"
+    threads = blas.workers(len(options.scales))
+    print(f"infer: {frame_objects / busy:.1f} frame-objects/s on {threads} scale thread(s){note}", file=sys.stderr)
     print(f"segmented {len(names)} sequences into {args.out}")
     return 0
 
@@ -324,7 +338,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     train.add_argument("--stage", choices=("pretrain", "finetune"), default="finetune")
     train.add_argument("--init-checkpoint", dest="init_checkpoint", default=None)
     train.add_argument("--iterations", type=_positive_int, default=2000)
-    train.add_argument("--lr", type=float, default=None, help="default: 1e-4 pretrain, 1e-5 finetune")
+    train.add_argument("--lr", type=_learning_rate, default=None, help="default: 1e-4 pretrain, 1e-5 finetune")
     train.add_argument("--batch", type=_positive_int, default=4)
     train.add_argument("--max-skip", dest="max_skip", type=_positive_int, default=5)
     train.add_argument("--seed", type=_seed, default=0)
@@ -361,6 +375,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
+    args = None
     try:
         args = parser.parse_args(_expand_config(list(sys.argv[1:] if argv is None else argv), commands))
         _apply_env_seed(args)
@@ -370,6 +385,10 @@ def main(argv=None) -> int:
         return 3
     except (OSError, ValueError, NumericError) as exc:  # ValueError covers ConfigError, FormatError, ShapeError
         print(f"npmca: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large to hold, such as infer --scales 1000
+        command = f" {args.command}" if args is not None else ""
+        print(f"npmca{command}: out of memory: {str(exc) or 'the input is too large to process'}", file=sys.stderr)
         return 2
 
 

@@ -11,14 +11,23 @@ distribution feeds the next frame's guidance channel.
 Frame 0's references never change, so each object's is encoded once per
 scale, before the frame loop, and those features serve every later frame
 (as the previous reference too under ``first_frame_only``).
+
+An object's scale passes of one frame are independent, so they run at
+once on up to ``blas.workers(S)`` threads: the calling thread takes the
+largest scale, a small pool the others. Objects still run one after
+another, which bounds the passes alive at once to one object's S. The
+planes are added in scale order whatever thread made them, so stacks and
+label rasters do not depend on the thread count.
 """
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
+from . import blas, ops
 from .errors import ShapeError
 from .model import GRID_STRIDE, ModelParams, encode_reference_image, forward_single_object
 from .netpbm import probability_to_byte, to_unit_float, write_pgm
@@ -121,6 +130,17 @@ def first_mask_objects(video, first_mask) -> list[int]:
     return object_ids
 
 
+def _scale_planes(pool, scale_pass, count: int, largest: int) -> list[np.ndarray]:
+    """``scale_pass(k)`` for every scale k, in scale order. With a pool,
+    the calling thread runs scale ``largest`` while the pool runs the
+    others, in scale order; the caller gets the first exception raised."""
+    if pool is None:
+        return [scale_pass(k) for k in range(count)]
+    others = {k: pool.submit(scale_pass, k) for k in range(count) if k != largest}
+    own = scale_pass(largest)
+    return [own if k == largest else others[k].result() for k in range(count)]
+
+
 def infer_sequence(
     video, first_mask: np.ndarray, params: ModelParams, options: InferenceOptions = InferenceOptions()
 ) -> InferResult:
@@ -152,39 +172,49 @@ def infer_sequence(
             masked = mask_out_background(first_rgb, first_mask, oid)
             first_features.append([encode_reference_image(params, _resize_rgb(masked, sh, sw)) for sh, sw in sizes])
 
+    largest = max(range(len(sizes)), key=options.scales.__getitem__)
+    threads = blas.workers(len(sizes))
     prev_rgb = first_rgb
-    for t in range(1, len(frames)):
-        cur_rgb = to_unit_float(frames[t])
-        cur_scaled = [_resize_rgb(cur_rgb, sh, sw) for sh, sw in sizes]
-        per_object = np.zeros((m, h, w))
-        for j, oid in enumerate(object_ids):
-            if options.first_frame_only:
-                prev = first_features[j]  # frame 0 masked by its truth, which first_features[j] encodes
-                guidance = (masks[0] == oid).astype(np.float64)
-            else:
-                if options.soft_reference_mask:
-                    prev_masked = prev_rgb * stacks[t - 1][j + 1][:, :, None]
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-scale") if threads > 1 else nullcontext() as pool:
+        for t in range(1, len(frames)):
+            cur_rgb = to_unit_float(frames[t])
+            cur_scaled = [_resize_rgb(cur_rgb, sh, sw) for sh, sw in sizes]
+            per_object = np.zeros((m, h, w))
+            for j, oid in enumerate(object_ids):
+                if options.first_frame_only:
+                    prev_masked = None  # frame 0 masked by its truth, which first_features[j] encodes
+                    guidance = (masks[0] == oid).astype(np.float64)
                 else:
-                    prev_masked = mask_out_background(prev_rgb, masks[t - 1], oid)
-                prev = [_resize_rgb(prev_masked, sh, sw) for sh, sw in sizes]
-                guidance = stacks[t - 1][j + 1] if options.soft_guidance else (masks[t - 1] == oid).astype(np.float64)
+                    if options.soft_reference_mask:
+                        prev_masked = prev_rgb * stacks[t - 1][j + 1][:, :, None]
+                    else:
+                        prev_masked = mask_out_background(prev_rgb, masks[t - 1], oid)
+                    guidance = (stacks[t - 1][j + 1] if options.soft_guidance
+                                else (masks[t - 1] == oid).astype(np.float64))
 
-            acc = np.zeros((h, w))
-            for k, (sh, sw) in enumerate(sizes):
-                prob = forward_single_object(
-                    params, first_features[j][k], prev[k], cur_scaled[k], _resize_plane(guidance, sh, sw),
-                    disable_cm=options.disable_cm,
-                ).array
-                acc += _resize_plane(prob, h, w)
-            per_object[j] = acc / len(sizes)
+                def scale_pass(k):
+                    """Object j's probability at scale k, resized back to (h, w)."""
+                    sh, sw = sizes[k]
+                    prev = first_features[j][k] if prev_masked is None else _resize_rgb(prev_masked, sh, sw)
+                    prob = forward_single_object(
+                        params, first_features[j][k], prev, cur_scaled[k], _resize_plane(guidance, sh, sw),
+                        disable_cm=options.disable_cm,
+                    ).array
+                    return _resize_plane(prob, h, w)
 
-        merged = aggregate_multi_object(per_object)
-        label_raster = np.zeros((h, w), dtype=np.uint8)
-        for j, oid in enumerate(object_ids, start=1):
-            label_raster[merged.labels == j] = oid
-        masks.append(label_raster)
-        stacks.append(merged.probabilities)
-        prev_rgb = cur_rgb
+                # added in scale order, so the sums do not depend on the thread count
+                acc = np.zeros((h, w))
+                for plane in _scale_planes(pool, scale_pass, len(sizes), largest):
+                    acc += plane
+                per_object[j] = acc / len(sizes)
+
+            merged = aggregate_multi_object(per_object)
+            label_raster = np.zeros((h, w), dtype=np.uint8)
+            for j, oid in enumerate(object_ids, start=1):
+                label_raster[merged.labels == j] = oid
+            masks.append(label_raster)
+            stacks.append(merged.probabilities)
+            prev_rgb = cur_rgb
     return InferResult(masks, stacks, object_ids)
 
 

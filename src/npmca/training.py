@@ -10,15 +10,15 @@ sampler turns only the frames it draws into float64.
 
 The samples of one batch run concurrently on a thread pool (numpy's BLAS
 and most array kernels release the interpreter lock), as many threads as
-``sample_workers`` allows. Each thread returns its sample's loss and
-parameter adjoints; the calling thread adds them up in sample order, the
-same float sums in the same order as one thread would make, so losses
-and checkpoints do not depend on the worker count. Importing the package
-pins numpy's OpenBLAS to one thread (``npmca.blas``), so they do not
-depend on the BLAS environment variables either.
+``blas.workers`` allows for the batch size. Each thread returns its
+sample's loss and parameter adjoints; the calling thread adds them up in
+sample order, the same float sums in the same order as one thread would
+make, so losses and checkpoints do not depend on the worker count.
+Importing the package pins numpy's OpenBLAS to one thread
+(``npmca.blas``), so they do not depend on the BLAS environment
+variables either.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -150,21 +150,6 @@ def make_finetune_sampler(videos, max_skip: int = 5):
     return sample
 
 
-def sample_workers(batch_size: int) -> int:
-    """Threads ``train_loop`` runs a batch's samples on.
-
-    One per usable CPU, up to the batch size, when numpy's OpenBLAS is
-    pinned to one thread (``blas.PINNED``, set on import); otherwise 1,
-    since sample threads competing with BLAS's own threads for the cores
-    were measured slower than one sample at a time.
-    """
-    if not blas.PINNED:
-        return 1
-    # the CPUs this process may run on; not every platform can tell
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(batch_size, cpus))
-
-
 def train_loop(
     params: ModelParams,
     sampler,
@@ -180,7 +165,7 @@ def train_loop(
 
     Each iteration draws its samples on the calling thread, in sampler
     order, then runs their forward and backward passes on up to
-    ``sample_workers(batch_size)`` threads. An exception raised by a
+    ``blas.workers(batch_size)`` threads. An exception raised by a
     sample is raised here once every running sample has finished.
     """
     named = params.named_parameters()
@@ -199,7 +184,7 @@ def train_loop(
 
     if log_stream is not None:
         log_stream.write("iter,loss\n")
-    with ThreadPoolExecutor(sample_workers(batch_size), thread_name_prefix="npmca-sample") as pool:
+    with ThreadPoolExecutor(blas.workers(batch_size), thread_name_prefix="npmca-sample") as pool:
         for it in range(1, iterations + 1):
             samples = [sampler(rng) for _ in range(batch_size)]
             zero_gradients(named.values())

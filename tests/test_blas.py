@@ -1,5 +1,6 @@
 """One BLAS thread on import: output bytes that do not depend on the BLAS
-environment variables, and the serial fallback where no setter exists."""
+environment variables, the serial fallback where no setter exists, and
+the worker-count rule that follows from it."""
 
 import hashlib
 import os
@@ -10,7 +11,6 @@ import pytest
 from numpy.random import _generator
 
 from npmca import blas, cli
-from npmca.training import sample_workers
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -82,7 +82,7 @@ def test_without_a_setter_samples_run_one_at_a_time(monkeypatch, tmp_path, capsy
     assert pinned is False
     monkeypatch.setattr(blas, "PINNED", pinned)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert sample_workers(4) == 1
+    assert blas.workers(4) == 1
 
     data = str(tmp_path / "data")
     assert cli.main(["gen", "--n", "1", "--out", data, "--resolution", "32x48", "--frames", "3"]) == 0
@@ -93,3 +93,14 @@ def test_without_a_setter_samples_run_one_at_a_time(monkeypatch, tmp_path, capsy
     err = capsys.readouterr().err
     assert "on 1 sample thread(s); BLAS could not be pinned to one thread" in err, err
 
+
+
+@pytest.mark.parametrize(
+    "pinned, tasks, cpus, expected",
+    [(True, 3, 2, 2), (True, 4, 8, 4), (True, 1, 4, 1), (True, 3, 1, 1), (False, 3, 4, 1)],
+)
+def test_workers_for_an_objects_scale_passes(monkeypatch, pinned, tasks, cpus, expected):
+    """The rule training applies to a batch's samples, applied to S scale passes."""
+    monkeypatch.setattr(blas, "PINNED", pinned)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert blas.workers(tasks) == expected

@@ -12,7 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
-from npmca import cli, ops
+from npmca import blas, cli, ops
 from npmca.datagen import generate_sequence, load_sequence, random_scene, write_sequence
 from npmca.metrics import EvalReport, evaluate_sequence
 from npmca.model import ModelConfig, init_model_params, load_checkpoint, save_checkpoint
@@ -240,6 +240,22 @@ class TestTrain:
         assert re.fullmatch(r"train: \d+\.\d samples/s on [1-9]\d* sample thread\(s\)\n", captured.err)
         assert "samples/s" not in captured.out
 
+    @pytest.mark.parametrize("value", ["-0.0001", "0", "nan", "inf", "config"])
+    def test_lr_not_finite_and_positive_is_usage_error_naming_flag_and_value(self, dataset, tmp_path, capsys, value):
+        out = tmp_path / "x"
+        argv = ["--data", dataset, "--out", out, "--stage", "pretrain", "--iterations", 1]
+        if value == "config":
+            value, cfg = "-1e-4", tmp_path / "run.cfg"
+            cfg.write_text(f"command=train\nlr={value}\n", encoding="utf-8")
+            argv = ["train", "--config", cfg] + argv
+        else:
+            argv = ["train", f"--lr={value}"] + argv
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument --lr: expected a finite number > 0, got '{value}'" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_empty_mask_is_data_error_naming_the_frame(self, dataset, trained, tmp_path, capsys, stage):
         data = str(tmp_path / "blank")
@@ -369,6 +385,22 @@ class TestInfer:
             err = capsys.readouterr().err
             assert "decoder/head/b holds non-finite values" in err, argv[0]
 
+    def test_reports_rate_and_scale_threads_on_stderr(self, dataset, trained, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        trees = []
+        for pinned, line in ((True, "on 2 scale thread(s)"),
+                             (False, "on 1 scale thread(s); BLAS could not be pinned to one thread, "
+                                     "so scale passes ran one at a time")):
+            monkeypatch.setattr(blas, "PINNED", pinned)
+            out = str(tmp_path / f"pinned-{pinned}")
+            assert run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                            "--out", out, "--sequence", "seq00002", "--dump-probs"]) == 0
+            captured = capsys.readouterr()
+            assert re.fullmatch(r"infer: \d+\.\d frame-objects/s " + re.escape(line) + "\n", captured.err), captured.err
+            assert "frame-objects/s" not in captured.out
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+
     def test_missing_first_mask_is_data_error(self, dataset, trained, tmp_path, capsys):
         bare = tmp_path / "bare" / "seq00000"
         shutil.copytree(os.path.join(dataset, "seq00000", "frames"), bare / "frames")
@@ -376,6 +408,21 @@ class TestInfer:
                         os.path.join(trained, "model.ckpt"), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "00000.pgm" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["gen", "infer"])
+    def test_exits_two_with_one_line_naming_the_command(self, dataset, trained, tmp_path, monkeypatch, capsys, command):
+        message = "Unable to allocate 137. GiB for an array with shape (192000, 96000) and data type float64"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, {"gen": "generate_sequence", "infer": "infer_sequence"}[command], exhausted)
+        argv = {"gen": ["gen", "--n", 1],
+                "infer": ["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt")]}[command]
+        assert run_cli(argv + ["--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"npmca {command}: out of memory: {message}"]
 
 
 class TestEval:

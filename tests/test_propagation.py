@@ -1,12 +1,16 @@
 """Aggregation math and the sequential inference loop."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from npmca import model, oracles, propagation
+from npmca import blas, model, oracles, propagation
 from npmca.datagen import VideoSequence, generate_sequence, load_sequence, random_scene, write_sequence
 from npmca.errors import ShapeError
 from npmca.model import ModelConfig, init_model_params
@@ -233,6 +237,120 @@ class TestReferenceEncodes:
         result = infer_sequence(video, video.masks[0], params)
         assert len(result.masks) == 1
         assert calls == []
+
+
+def use_threads(monkeypatch, threads):
+    """Make ``blas.workers`` allow up to ``threads`` scale threads; 1 is
+    the rule's answer when BLAS could not be pinned."""
+    monkeypatch.setattr(blas, "PINNED", threads > 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
+
+
+def npmca_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("npmca")]
+
+
+class TestScaleThreads:
+    """An object's scale passes run at once, the largest on the calling
+    thread; stacks and label rasters equal the one-thread loop's bit for bit."""
+
+    @pytest.mark.parametrize("case", [
+        "default", "repeated-scale", "first-frame-only-hard", "soft-reference", "disable-cm", "single-encoder",
+        "one-object",
+    ])
+    def test_stacks_and_labels_equal_one_thread(self, monkeypatch, case):
+        preset = "default" if case == "one-object" else "occlusion-heavy"
+        video, params = tiny_setup(4, preset)
+        if case == "single-encoder":
+            params = init_model_params(54, ModelConfig(stage_channels=(4, 6, 8), single_encoder=True))
+        options = {
+            "default": InferenceOptions(),
+            "repeated-scale": InferenceOptions(scales=(0.5, 1.0, 1.5, 1.0)),
+            "first-frame-only-hard": InferenceOptions(first_frame_only=True, soft_guidance=False),
+            "soft-reference": InferenceOptions(soft_reference_mask=True),
+            "disable-cm": InferenceOptions(disable_cm=True),
+            "single-encoder": InferenceOptions(),
+            "one-object": InferenceOptions(),
+        }[case]
+        forward = propagation.forward_single_object
+        threads = []
+
+        def recording_forward(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "forward_single_object", recording_forward)
+        results = {}
+        for count in (1, 2):
+            use_threads(monkeypatch, count)
+            assert blas.workers(len(options.scales)) == count
+            threads.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results[count] = infer_sequence(video, video.masks[0], params, options)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(set(threads)) == count
+        assert len(results[1].object_ids) == (1 if case == "one-object" else 2)
+        for a, b in zip(results[1].masks, results[2].masks):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(results[1].stacks, results[2].stacks):
+            assert a.tobytes() == b.tobytes()
+
+    def test_largest_scale_runs_on_the_calling_thread(self, monkeypatch):
+        video, params = tiny_setup(4, "occlusion-heavy", frames=3)
+        forward = propagation.forward_single_object
+        where = {}
+
+        def recording_forward(params, first, prev, cur_rgb, *args, **kwargs):
+            where.setdefault(cur_rgb.shape[:2], set()).add(threading.current_thread() is threading.main_thread())
+            return forward(params, first, prev, cur_rgb, *args, **kwargs)
+
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(propagation, "forward_single_object", recording_forward)
+        infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(0.75, 1.5, 1.0, 1.5)))
+        # the first 1.5 runs on the calling thread, every other scale on the pool
+        assert where == {(24, 36): {False}, (48, 72): {True, False}, (32, 48): {False}}
+
+    @pytest.mark.parametrize("failing", ["pool", "calling"])
+    def test_a_pass_error_reaches_the_caller_and_no_thread_stays(self, monkeypatch, failing):
+        video, params = tiny_setup(4, "occlusion-heavy")
+        forward = propagation.forward_single_object
+        failed_on = []
+        size = (24, 36) if failing == "pool" else (40, 60)  # scale 0.75 or 1.25 of 32x48
+
+        def failing_forward(params, first, prev, cur_rgb, *args, **kwargs):
+            if cur_rgb.shape[:2] == size:
+                failed_on.append(threading.current_thread() is threading.main_thread())
+                raise RuntimeError("scale pass failed")
+            return forward(params, first, prev, cur_rgb, *args, **kwargs)
+
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(propagation, "forward_single_object", failing_forward)
+        assert npmca_threads() == []
+        with pytest.raises(RuntimeError, match="scale pass failed"):
+            infer_sequence(video, video.masks[0], params)
+        assert failed_on == [failing == "calling"]
+        assert npmca_threads() == []
+
+    @pytest.mark.parametrize("scales, threads", [((1.0,), 4), ((0.75, 1.0, 1.25), 1)], ids=["one-scale", "one-thread"])
+    def test_no_thread_starts_for_one_scale_or_one_usable_thread(self, monkeypatch, scales, threads):
+        video, params = tiny_setup(4, "occlusion-heavy")
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        use_threads(monkeypatch, threads)
+        if threads > 1:
+            assert blas.workers(len(scales)) == 1
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        result = infer_sequence(video, video.masks[0], params, InferenceOptions(scales=scales))
+        assert len(result.masks) == len(video.frames)
+        assert started == []
 
 
 class TestLoadedClips:

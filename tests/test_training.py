@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from npmca import ops, training
+from npmca import blas, ops, training
 from npmca.autodiff import Tape, zero_gradients
 from npmca.datagen import (
     VideoSequence,
@@ -25,7 +25,7 @@ from npmca.metrics import iou_loss
 from npmca.model import forward_single_object, init_model_params
 from npmca.netpbm import to_unit_float
 from npmca.rng import spawn_rng
-from npmca.training import Adam, make_finetune_sampler, make_pretrain_sampler, sample_workers, train_loop
+from npmca.training import Adam, make_finetune_sampler, make_pretrain_sampler, train_loop
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def serial_train_loop(params, sampler, iterations, lr, batch_size, seed):
 class TestThreadedLoop:
     @pytest.mark.parametrize("batch", [3, 4])
     def test_equals_serial_reference_bitwise(self, videos, four_cpus, monkeypatch, batch):
-        assert sample_workers(batch) == batch
+        assert blas.workers(batch) == batch
         threads = set()
         forward = training.forward_single_object
 
@@ -114,15 +114,15 @@ class TestSampleWorkers:
         [(False, 4, 2, 1), (True, 4, 2, 2), (True, 3, 8, 3), (True, 1, 4, 1)],
     )
     def test_rule(self, monkeypatch, pinned, batch, cpus, expected):
-        monkeypatch.setattr(training.blas, "PINNED", pinned)
+        monkeypatch.setattr(blas, "PINNED", pinned)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert sample_workers(batch) == expected
+        assert blas.workers(batch) == expected
 
     def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
-        monkeypatch.setattr(training.blas, "PINNED", True)
+        monkeypatch.setattr(blas, "PINNED", True)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert sample_workers(4) == 3
+        assert blas.workers(4) == 3
 
 
 def test_sample_tape_keeps_no_patch_matrices():
