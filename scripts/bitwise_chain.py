@@ -3,14 +3,18 @@
 Exports both revisions with ``bench_pairs.export`` and, in each export,
 runs the chain below as subprocesses with ``PYTHONPATH=<export>/src``,
 ``OPENBLAS_NUM_THREADS=1`` and no ``NPMCA_SEED``: 32x48 ``gen`` with both
-presets, a short pretrain, a finetune with ``--disable-cm --max-skip 2``, a
-single-encoder pretrain, ``infer`` covering every switch with
-``--dump-probs``, ``eval`` and ``verify --out``. The CLI writes inference
-probabilities only as 8-bit rasters, so one more step, ``stack-hashes``,
-runs the export's ``infer_sequence`` on every clip with the pretrained
-checkpoint, with default options and with ``first_frame_only``, and prints
-the sha256 of each float64 (M+1, H, W) stack. Each step's standard output
-is kept as ``<step>.stdout``. Every file of the two output trees is then
+presets and one 128x192 occlusion-heavy clip, a short pretrain, a finetune
+with ``--disable-cm --max-skip 2``, a single-encoder pretrain, ``infer``
+covering every switch with ``--dump-probs``, ``eval`` and ``verify --out``.
+The CLI writes inference probabilities only as 8-bit rasters, so one more
+step, ``stack-hashes``, runs the export's ``infer_sequence`` with the
+pretrained checkpoint and prints the sha256 of each float64 (M+1, H, W)
+stack: on every 32x48 clip with default options and with
+``first_frame_only``, and on the 128x192 clip at one scale. That clip's
+1536-pixel feature grid is large enough for ``infer_sequence`` to lend
+row halves to a helper thread where two CPUs are usable, so the stacks of
+that path meet those of the serial code. Each step's standard output is
+kept as ``<step>.stdout``. Every file of the two output trees is then
 compared byte for byte; in ``run.cfg`` and ``*.stdout`` files the export's
 path is replaced by a placeholder first, since it differs by construction.
 Lists the files that differ or exist on one side only; exits 0 when there
@@ -48,6 +52,9 @@ for data in ("data", "occl"):
             options = InferenceOptions(first_frame_only=first_only)
             for t, stack in enumerate(infer_sequence(video, video.masks[0], params, options).stacks):
                 print(data, name, label, t, hashlib.sha256(stack.tobytes()).hexdigest())
+video = load_sequence(os.path.join(out, "large"), "seq00000")
+for t, stack in enumerate(infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,))).stacks):
+    print("large seq00000 one-scale", t, hashlib.sha256(stack.tobytes()).hexdigest())
 """
 
 # (step, argv); "{out}" is the chain's output directory inside the export.
@@ -58,6 +65,8 @@ CHAIN = [
                      "--frames", "5"]),
     ("gen-occl", ["gen", "--n", "2", "--out", "{out}/occl", "--seed", "8", "--resolution", "32x48",
                   "--frames", "5", "--preset", "occlusion-heavy"]),
+    ("gen-large", ["gen", "--n", "1", "--out", "{out}/large", "--seed", "9", "--resolution", "128x192",
+                   "--frames", "3", "--preset", "occlusion-heavy"]),
     ("pretrain", ["train", "--data", "{out}/data", "--out", "{out}/pretrain", "--stage", "pretrain",
                   "--iterations", "12", "--batch", "2", "--seed", "1"]),
     ("finetune", ["train", "--data", "{out}/data", "--out", "{out}/finetune", "--stage", "finetune",

@@ -28,7 +28,7 @@ from .errors import ConfigError, NumericError
 from .metrics import EvalReport, evaluate_sequence
 from .model import GRID_STRIDE, ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from .netpbm import read_pgm
-from .propagation import InferenceOptions, first_mask_objects, infer_sequence, write_predictions
+from .propagation import InferenceOptions, first_mask_objects, infer_sequence, loop_threads, write_predictions
 from .training import TrainingDiverged, make_finetune_sampler, make_pretrain_sampler, train_loop
 
 
@@ -257,8 +257,10 @@ def cmd_infer(args) -> int:
         first_mask = read_pgm(mask_path)
         first_mask_objects(video, first_mask)
         clips.append((video, first_mask))
-    frame_objects, busy = 0, 0.0
+    frame_objects, busy, helped = 0, 0.0, 0
     for video, first_mask in clips:
+        threads, helper = loop_threads(options.scales, first_mask.shape)
+        helped += helper
         start = time.perf_counter()
         result = infer_sequence(video, first_mask, params, options)
         busy += time.perf_counter() - start
@@ -266,7 +268,8 @@ def cmd_infer(args) -> int:
         write_predictions(args.out, video.name, result, dump_probs=args.dump_probs)
     _write_run_cfg(args.out, "infer", args)
     note = "" if blas.PINNED else "; BLAS could not be pinned to one thread, so scale passes ran one at a time"
-    threads = blas.workers(len(options.scales))
+    if helped:
+        note += f" and a row-half helper thread on {helped} of {len(clips)} clip(s)"
     print(f"infer: {frame_objects / busy:.1f} frame-objects/s on {threads} scale thread(s){note}", file=sys.stderr)
     print(f"segmented {len(names)} sequences into {args.out}")
     return 0

@@ -8,6 +8,8 @@ Readers return the bytes a file holds, uint8 frames and masks;
 ``to_unit_float`` turns a frame into the float64 values the model takes.
 """
 
+import os
+
 import numpy as np
 
 from .errors import FormatError
@@ -50,6 +52,10 @@ def probability_to_byte(prob: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(np.asarray(prob) * 255.0), 0, 255).astype(np.uint8)
 
 
+# the separators netpbm allows between header tokens: ASCII whitespace only
+_WHITESPACE = b" \t\n\v\f\r"
+
+
 class _Reader:
     def __init__(self, blob: bytes, path):
         self.blob = blob
@@ -63,7 +69,7 @@ class _Reader:
         # whitespace and '#' comments may separate header tokens
         while self.pos < len(self.blob):
             c = self.blob[self.pos]
-            if chr(c).isspace():
+            if c in _WHITESPACE:
                 self.pos += 1
             elif c == ord("#"):
                 while self.pos < len(self.blob) and self.blob[self.pos] not in (10, 13):
@@ -76,21 +82,27 @@ class _Reader:
         if self.pos >= len(self.blob):
             self.fail("truncated header")
         start = self.pos
-        while self.pos < len(self.blob) and not chr(self.blob[self.pos]).isspace():
+        while self.pos < len(self.blob) and self.blob[self.pos] not in _WHITESPACE:
             self.pos += 1
         return self.blob[start : self.pos]
 
+    def reject(self, tok: bytes, good: int, what: str):
+        """Fail at the first byte of the token just read past its first
+        ``good`` bytes, the first that does not belong."""
+        self.pos -= len(tok) - good
+        self.fail(f"expected {what}, found {tok!r}")
+
     def integer(self, what: str) -> int:
+        """A token of ASCII digits only."""
         tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            self.pos -= len(tok)
-            self.fail(f"expected {what}, found {tok!r}")
+        digits = len(tok) - len(tok.lstrip(b"0123456789"))
+        if digits < len(tok):
+            self.reject(tok, digits, what)
+        return int(tok)
 
     def payload(self, count: int) -> bytes:
         # exactly one separator byte between maxval and the raster data
-        if self.pos >= len(self.blob) or not chr(self.blob[self.pos]).isspace():
+        if self.pos >= len(self.blob) or self.blob[self.pos] not in _WHITESPACE:
             self.fail("missing separator before raster data")
         self.pos += 1
         data = self.blob[self.pos : self.pos + count]
@@ -107,8 +119,7 @@ def _read(path, magic: str, channels: int) -> np.ndarray:
     r = _Reader(blob, path)
     tok = r.token()
     if tok != magic.encode("ascii"):
-        r.pos -= len(tok)
-        r.fail(f"expected {magic} magic, found {tok!r}")
+        r.reject(tok, len(os.path.commonprefix([tok, magic.encode("ascii")])), f"{magic} magic")
     width = r.integer("width")
     height = r.integer("height")
     if width <= 0 or height <= 0:

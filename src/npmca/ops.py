@@ -9,12 +9,23 @@ element broadcast against the other.
 ``softmax_match`` is the model's non-local match as one primitive: bit for
 bit the composition of ``matmul``, ``transpose`` and ``softmax_columns``,
 in one N x N buffer and one tape node instead of five.
+
+Inside ``row_halves``, the untaped ``conv2d`` and ``softmax_match`` calls
+of the thread that entered it give the lower half of their rows to one
+helper thread. Each half is written into the one output buffer, and only
+steps that compute each row on its own are split, GEMMs only with the
+OpenBLAS kernels and shapes whose halves were measured bitwise, so every
+bit is unchanged.
 """
 
-from functools import lru_cache
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from functools import lru_cache, reduce
 
 import numpy as np
 
+from . import blas
 from .autodiff import resolve_tape
 from .errors import NumericError, ShapeError
 from .tensor import Tensor
@@ -199,17 +210,88 @@ def matmul(a, b) -> Tensor:
     return tape.record("matmul", (a, b), out, lambda g: (g @ B.T, A.T @ g))
 
 
-def _softmax_columns_inplace(m: np.ndarray, out=None) -> np.ndarray:
+# OpenBLAS picks its GEMM kernel by size, so a half can take another
+# kernel than the whole, with other rounding. conv2d splits only products
+# with an output width that is a multiple of HALVES_WIDTH and at least
+# HALVES_MIN_ROWS rows, and only with the kernel sets in HALVES_CORES
+# (blas.CORE): halves were measured bitwise there, and nowhere else.
+HALVES_WIDTH = 8
+HALVES_MIN_ROWS = 1024
+HALVES_CORES = ("SkylakeX",)
+
+
+class _Lent(threading.local):
+    helper = None  # the helper of the row_halves context open on this thread, if any
+
+
+_lent = _Lent()
+
+
+@contextmanager
+def row_halves():
+    """Lend one helper thread to this thread's untaped ``conv2d`` and
+    ``softmax_match`` calls until the context closes.
+
+    Other threads never see the helper, and no bit depends on it. The
+    helper is shut down on the way out, error or not.
+    """
+    outer = _lent.helper
+    with ThreadPoolExecutor(1, thread_name_prefix="npmca-rows") as helper:
+        _lent.helper = helper
+        try:
+            yield
+        finally:
+            _lent.helper = outer
+
+
+def _run_rows(helper, part, rows: int) -> None:
+    """``part(start, stop)`` over rows [0, rows): with a helper, the helper
+    runs the lower half while this thread runs the upper one, else this
+    thread runs them all. Returns when both halves are done; this thread's
+    error, else the helper's, reaches the caller."""
+    if helper is None or rows < 2:
+        part(0, rows)
+        return
+    lower = helper.submit(part, rows // 2, rows)
+    try:
+        part(0, rows // 2)
+    finally:
+        wait((lower,))
+    lower.result()
+
+
+def _softmax_columns_inplace(m: np.ndarray, out=None, helper=None) -> np.ndarray:
     """Column softmax of a finite matrix, written into ``out`` (which may be
     ``m`` itself) or into a fresh array when ``out`` is None. Raises
     ``NumericError`` on any non-finite entry: a NaN or a +inf makes its
-    column's max non-finite, a -inf its column's min."""
-    col_max = m.max(axis=0, keepdims=True)
-    if not (np.isfinite(col_max).all() and np.isfinite(m.min(axis=0)).all()):
+    column's max non-finite, a -inf its column's min.
+
+    A ``helper`` takes the lower row half of each row-independent step;
+    the column sum is one pass over all rows, so no bit depends on it.
+    """
+    if out is None:
+        out = np.empty_like(m)
+    extremes = {}
+
+    def column_extremes(lo, hi):
+        extremes[lo] = (m[lo:hi].max(axis=0), m[lo:hi].min(axis=0))
+
+    _run_rows(helper, column_extremes, len(m))
+    col_max = reduce(np.maximum, (top for top, _ in extremes.values()))
+    col_min = reduce(np.minimum, (bottom for _, bottom in extremes.values()))
+    if not (np.isfinite(col_max).all() and np.isfinite(col_min).all()):
         raise NumericError("softmax_columns: input contains non-finite values")
-    out = np.subtract(m, col_max, out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=0, keepdims=True)
+
+    def shifted_exp(lo, hi):
+        np.exp(np.subtract(m[lo:hi], col_max, out=out[lo:hi]), out=out[lo:hi])
+
+    _run_rows(helper, shifted_exp, len(m))
+    col_sum = out.sum(axis=0)
+
+    def normalised(lo, hi):
+        np.divide(out[lo:hi], col_sum, out=out[lo:hi])
+
+    _run_rows(helper, normalised, len(m))
     return out
 
 
@@ -246,9 +328,9 @@ def softmax_match(ref, tar) -> Tensor:
         raise ShapeError(f"softmax_match: reference {ref.shape} and target {tar.shape} grids differ")
     R = ref.array
     tape = resolve_tape(ref, tar)
-    if tape is None:  # the faster layout at inference
+    if tape is None:  # the faster layout at inference; the two GEMMs stay whole, as their halves differ in bits
         s = R @ tar.array.T
-        return Tensor(R.T @ _softmax_columns_inplace(s, out=s))
+        return Tensor(R.T @ _softmax_columns_inplace(s, out=s, helper=_lent.helper))
     # contiguous transposes, as transpose nodes hand them to matmul: the composed tape's products and bits
     ref_t = np.ascontiguousarray(R.T)
     tar_t = np.ascontiguousarray(tar.array.T)
@@ -273,19 +355,41 @@ def _pad_spatial(arr: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
     # For a C-contiguous (H, W, C) map, the kw taps of one kernel row are kw*C
-    # consecutive values, so the patch matrix is a strided view of the map
-    # and one copy lays it out as rows of (kh, kw, C).
+    # consecutive values, so the patches are an (oh, ow, kh, kw*C) strided
+    # view of the map, and one copy lays them out as rows of (kh, kw, C).
     _, wp, c = xp.shape
     s = xp.itemsize
-    patches = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp,
         shape=(oh, ow, kh, kw * c),
         strides=(stride * wp * c * s, stride * c * s, wp * c * s, s),
         writeable=False,
     )
-    return patches.reshape(oh * ow, kh * kw * c)
+
+
+def _conv_rows(helper, xp: np.ndarray, taps: np.ndarray, bias: np.ndarray, kh: int, kw: int,
+               stride: int, oh: int, ow: int) -> np.ndarray:
+    """The conv2d forward, with ``helper`` (if any) taking the lower half of
+    the output rows. Each half lays out its own patch rows and multiplies
+    them into its rows of the one output. The patch matrix and the output
+    are allocated here, on the calling thread: buffers a helper allocated
+    would stay in its own malloc arena and raise peak memory."""
+    view = _patch_view(xp, kh, kw, stride, oh, ow)
+    direct = kh == kw == stride == 1  # the patches of a 1x1 kernel at stride 1 are the map as it lies
+    cols = xp.reshape(view.shape) if direct else np.empty(view.shape)
+    out = np.empty((oh * ow, taps.shape[1]))
+
+    def output_rows(lo, hi):
+        if not direct:
+            cols[lo:hi] = view[lo:hi]
+        part = out[lo * ow : hi * ow]
+        np.matmul(cols[lo:hi].reshape(len(part), -1), taps, out=part)
+        part += bias
+
+    _run_rows(helper, output_rows, oh)
+    return out.reshape(oh, ow, -1)
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
@@ -295,7 +399,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     (Cout,). The padded extent must be consumed exactly: (H + 2*pad - kh)
     must be divisible by the stride, otherwise the call is a shape error.
 
-    The forward pass is one GEMM over the (OH*OW, kh*kw*Cin) patch matrix.
+    The forward pass is one GEMM over the (OH*OW, kh*kw*Cin) patch matrix,
+    or two over its row halves inside ``row_halves``.
     On a tape, the adjoint keeps the input map, not that kh*kw times wider
     matrix, and lays the patches out again for the weight adjoint: the same
     copy gives the same bits, and a training sample's tape holds about a
@@ -325,18 +430,20 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     ow = (wd + 2 * pad - kw) // stride + 1
 
     x_arr = x.array
+    taps = w.array.reshape(kh * kw * cin, cout)
 
-    def patches():
-        xp = _pad_spatial(x_arr, pad) if pad else x_arr
-        return _im2col(xp, kh, kw, stride, oh, ow)
-
-    out = patches() @ w.array.reshape(kh * kw * cin, cout)
-    out += b.array
-    out = out.reshape(oh, ow, cout)
+    def padded():
+        return _pad_spatial(x_arr, pad) if pad else x_arr
 
     tape = resolve_tape(x, w, b)
+    split = tape is None and cout % HALVES_WIDTH == 0 and oh * ow >= HALVES_MIN_ROWS and blas.CORE in HALVES_CORES
+    out = _conv_rows(_lent.helper if split else None, padded(), taps, b.array, kh, kw, stride, oh, ow)
     if tape is None:
         return Tensor(out)
+
+    def patches():
+        return _patch_view(padded(), kh, kw, stride, oh, ow).reshape(oh * ow, -1)
+
     # an image fed to the first layer is a constant: its adjoint is never read
     needs_dx = x.tape is tape
     wtaps = w.array

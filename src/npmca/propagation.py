@@ -18,6 +18,15 @@ largest scale, a small pool the others. Objects still run one after
 another, which bounds the passes alive at once to one object's S. The
 planes are added in scale order whatever thread made them, so stacks and
 label rasters do not depend on the thread count.
+
+One scale gives the pool nothing to run. Below a feature grid of
+``HELPER_MIN_GRID`` pixels such a loop starts no thread; from there on,
+with two usable threads, it keeps one helper thread (``ops.row_halves``)
+that takes the lower row half of each pass's similarity softmax and, with
+the OpenBLAS kernels where that was measured bitwise, of its conv GEMMs.
+``loop_threads`` is that rule. The halves are written into the buffers
+the whole would fill, with the same bits, so the helper needs no extra
+memory and changes no output.
 """
 
 import os
@@ -35,6 +44,13 @@ from .tensor import Tensor
 
 CLAMP_EPS = 1e-7
 DEFAULT_SCALES = (0.75, 1.0, 1.25)
+# The feature grid (pixels) from which a one-scale frame loop keeps a row-half
+# helper. Timed with forward_single_object passes alone, on a 2-vCPU Xeon with
+# OpenBLAS's SkylakeX kernels, a pass took 15% less time with the helper at
+# 1024 pixels, 9% less at 864, the same at 640 and 28% more at 384. No
+# benchmark workload runs one scale below it, so only the side above it is
+# measured end to end.
+HELPER_MIN_GRID = 1024
 
 
 def mask_out_background(rgb: np.ndarray, mask: np.ndarray, object_id: int) -> np.ndarray:
@@ -130,6 +146,23 @@ def first_mask_objects(video, first_mask) -> list[int]:
     return object_ids
 
 
+def loop_threads(scales: tuple[float, ...], size: tuple[int, int]) -> tuple[int, bool]:
+    """The frame loop's threads for frames of ``size`` (H, W): how many
+    scale threads run an object's scale passes, and whether a helper
+    thread takes the lower row halves of each pass's large steps
+    (``ops.row_halves``).
+
+    The helper runs only where the scale pool has nothing to feed: one
+    scale, two usable threads, and a feature grid of at least
+    ``HELPER_MIN_GRID`` pixels.
+    """
+    threads = blas.workers(len(scales))
+    if len(scales) != 1 or blas.workers(2) < 2:
+        return threads, False
+    sh, sw = (_scaled_size(side, scales[0]) for side in size)
+    return threads, (sh // GRID_STRIDE) * (sw // GRID_STRIDE) >= HELPER_MIN_GRID
+
+
 def _scale_planes(pool, scale_pass, count: int, largest: int) -> list[np.ndarray]:
     """``scale_pass(k)`` for every scale k, in scale order. With a pool,
     the calling thread runs scale ``largest`` while the pool runs the
@@ -173,9 +206,10 @@ def infer_sequence(
             first_features.append([encode_reference_image(params, _resize_rgb(masked, sh, sw)) for sh, sw in sizes])
 
     largest = max(range(len(sizes)), key=options.scales.__getitem__)
-    threads = blas.workers(len(sizes))
+    threads, helper = loop_threads(options.scales, (h, w))
     prev_rgb = first_rgb
-    with ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-scale") if threads > 1 else nullcontext() as pool:
+    with (ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-scale") if threads > 1 else nullcontext() as pool,
+          ops.row_halves() if helper else nullcontext()):
         for t in range(1, len(frames)):
             cur_rgb = to_unit_float(frames[t])
             cur_scaled = [_resize_rgb(cur_rgb, sh, sw) for sh, sw in sizes]

@@ -94,6 +94,17 @@ def test_without_a_setter_samples_run_one_at_a_time(monkeypatch, tmp_path, capsy
     assert "on 1 sample thread(s); BLAS could not be pinned to one thread" in err, err
 
 
+def test_core_name(monkeypatch):
+    # numpy's OpenBLAS names its kernel set; without the library there is no name
+    if blas.PINNED:
+        assert isinstance(blas.CORE, str) and blas.CORE
+        assert blas.core_name() == blas.CORE
+    monkeypatch.setattr(blas, "_openblas_libraries", lambda: [])
+    assert blas.core_name() is None
+    monkeypatch.setattr(blas, "_openblas_libraries", lambda: [_generator.__file__])
+    assert blas.core_name() is None
+
+
 
 @pytest.mark.parametrize(
     "pinned, tasks, cpus, expected",

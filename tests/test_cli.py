@@ -401,6 +401,30 @@ class TestInfer:
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1]
 
+    def test_one_scale_names_the_row_half_helper(self, dataset, trained, tmp_path, monkeypatch, capsys):
+        # a 128x192 clip has a 1536-pixel feature grid, a 32x48 clip 96
+        mixed = str(tmp_path / "mixed")
+        assert run_cli(["gen", "--n", 1, "--out", mixed, "--seed", 4, "--resolution", "128x192", "--frames", 3,
+                        "--preset", "occlusion-heavy"]) == 0
+        shutil.copytree(os.path.join(dataset, "seq00001"), os.path.join(mixed, "small"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        trees = []
+        for pinned, line in ((True, "on 1 scale thread(s) and a row-half helper thread on 1 of 2 clip(s)"),
+                             (False, "on 1 scale thread(s); BLAS could not be pinned to one thread, "
+                                     "so scale passes ran one at a time")):
+            monkeypatch.setattr(blas, "PINNED", pinned)
+            out = str(tmp_path / f"pinned-{pinned}")
+            assert run_cli(["infer", "--data", mixed, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                            "--out", out, "--scales", "1.0", "--dump-probs"]) == 0
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"infer: \d+\.\d frame-objects/s " + re.escape(line) + "\n", err), err
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        monkeypatch.setattr(blas, "PINNED", True)
+        assert run_cli(["infer", "--data", mixed, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                        "--out", str(tmp_path / "small"), "--sequence", "small", "--scales", "1.0"]) == 0
+        assert capsys.readouterr().err.endswith(" frame-objects/s on 1 scale thread(s)\n")
+
     def test_missing_first_mask_is_data_error(self, dataset, trained, tmp_path, capsys):
         bare = tmp_path / "bare" / "seq00000"
         shutil.copytree(os.path.join(dataset, "seq00000", "frames"), bare / "frames")

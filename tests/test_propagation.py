@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from npmca import blas, model, oracles, propagation
+from npmca import blas, model, ops, oracles, propagation
 from npmca.datagen import VideoSequence, generate_sequence, load_sequence, random_scene, write_sequence
 from npmca.errors import ShapeError
 from npmca.model import ModelConfig, init_model_params
@@ -351,6 +352,95 @@ class TestScaleThreads:
         result = infer_sequence(video, video.masks[0], params, InferenceOptions(scales=scales))
         assert len(result.masks) == len(video.frames)
         assert started == []
+
+
+class TestRowHalves:
+    """One scale on a large grid lends the lower row halves of each pass to
+    a helper thread; stacks and label rasters equal the serial loop's."""
+
+    @staticmethod
+    def large_setup():
+        cfg = random_scene(5, "occlusion-heavy", resolution=(128, 192), frames=3)
+        video = generate_sequence(cfg, 5, "seq05")
+        return video, init_model_params(55, ModelConfig(stage_channels=(4, 6, 8)))
+
+    @staticmethod
+    def helper_halves(monkeypatch, fail=False):
+        """The (start, stop) row ranges handed to the row-half helper; with
+        ``fail``, the helper's first half raises instead of running."""
+        given = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                given.append(args)
+                if fail and len(given) == 1:
+                    def fn(*args):
+                        raise RuntimeError("row half failed")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "ThreadPoolExecutor", Recording)
+        return given
+
+    def test_rule(self, monkeypatch):
+        use_threads(monkeypatch, 2)
+        # a 128x192 frame has a 32x48 grid of 1536 pixels; 128x128 exactly 1024
+        assert propagation.loop_threads((1.0,), (128, 192)) == (1, True)
+        assert propagation.loop_threads((1.0,), (128, 128)) == (1, True)
+        assert propagation.loop_threads((1.0,), (124, 128)) == (1, False)
+        assert propagation.loop_threads((1.0,), (64, 96)) == (1, False)
+        assert propagation.loop_threads((0.5,), (256, 384)) == (1, True)
+        assert propagation.loop_threads((0.75, 1.0, 1.25), (128, 192)) == (2, False)
+        use_threads(monkeypatch, 1)
+        assert propagation.loop_threads((1.0,), (128, 192)) == (1, False)
+
+    def test_stacks_and_labels_equal_one_thread(self, monkeypatch):
+        video, params = self.large_setup()
+        given = self.helper_halves(monkeypatch)
+        results = {}
+        for count in (1, 2):
+            use_threads(monkeypatch, count)
+            given.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results[count] = infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,)))
+            finally:
+                sys.setswitchinterval(interval)
+            # per pass: the three softmax steps of each of the two matches, and the
+            # width-8 stage-3 convs of the previous reference and the target
+            convs = 2 if blas.CORE in ops.HALVES_CORES else 0
+            assert len(given) == (2 * 2 * (2 * 3 + convs) if count == 2 else 0)
+        assert len(results[1].object_ids) == 2
+        for a, b in zip(results[1].masks, results[2].masks):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(results[1].stacks, results[2].stacks):
+            assert a.tobytes() == b.tobytes()
+        assert npmca_threads() == []
+
+    def test_an_error_in_the_helpers_half_reaches_the_caller(self, monkeypatch):
+        video, params = self.large_setup()
+        use_threads(monkeypatch, 2)
+        given = self.helper_halves(monkeypatch, fail=True)
+        with pytest.raises(RuntimeError, match="row half failed"):
+            infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,)))
+        assert len(given) == 1
+        assert npmca_threads() == []
+
+    def test_three_scales_split_nothing(self, monkeypatch):
+        video, params = self.large_setup()
+        use_threads(monkeypatch, 2)
+        given = self.helper_halves(monkeypatch)
+        forward = propagation.forward_single_object
+        threads = set()
+
+        def recording_forward(*args, **kwargs):
+            threads.add(threading.current_thread().name.split("_")[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "forward_single_object", recording_forward)
+        infer_sequence(video, video.masks[0], params)
+        assert given == []
+        assert threads == {"MainThread", "npmca-scale"}
 
 
 class TestLoadedClips:

@@ -1,14 +1,19 @@
 """Forward behaviour of the tensor engine's primitive operations."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from npmca import ops
+from npmca import blas, ops
 from npmca.autodiff import Tape
 from npmca.errors import NumericError, ShapeError
+from npmca.model import ModelConfig, forward_single_object, init_model_params
 from npmca.tensor import Tensor
 
 from npmca import oracles
@@ -112,6 +117,137 @@ class TestSoftmaxColumns:
         out = ops.softmax_columns(Tensor(m)).array
         assert np.all(out >= 0.0)
         assert np.max(np.abs(out.sum(axis=0) - 1.0)) <= 1e-9
+
+
+def helper_halves(monkeypatch):
+    """The (start, stop) row ranges handed to ``ops.row_halves``'s helper."""
+    given = []
+
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            given.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "ThreadPoolExecutor", Recording)
+    return given
+
+
+def npmca_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("npmca")]
+
+
+class TestRowHalves:
+    """Inside ``ops.row_halves`` the untaped ``softmax_match`` and
+    ``conv2d`` give the lower half of their rows to a helper thread; the
+    results equal the calls without it bit for bit."""
+
+    @pytest.mark.parametrize("n", [1024, 1037, 1536, 2047, 2400])
+    def test_softmax_match_is_bitwise(self, monkeypatch, n):
+        given = helper_halves(monkeypatch)
+        r = np.random.default_rng(n)
+        ref, tar = r.normal(size=(n, 16)), r.normal(size=(n, 16))
+        whole = ops.softmax_match(ref, tar).array
+        with ops.row_halves():
+            halves = ops.softmax_match(ref, tar).array
+        assert halves.tobytes() == whole.tobytes()
+        # the column extremes, the shifted exp and the divide; the GEMMs stay whole
+        assert given == [(n // 2, n)] * 3
+        assert npmca_threads() == []
+
+    @pytest.mark.parametrize("half", ["top", "bottom"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_raises_the_same_error(self, monkeypatch, half, value):
+        given = helper_halves(monkeypatch)
+        n = 1100
+        r = np.random.default_rng(7)
+        ref, tar = r.normal(size=(n, 8)), r.normal(size=(n, 8))
+        tar[:, 0] = np.abs(tar[:, 0]) + 0.5
+        # similarity row i is then all ``value``: a -inf shows only in the column min
+        ref[5 if half == "top" else n - 5, 0] = value
+        errors = []
+        for lend in (False, True):
+            with ops.row_halves() if lend else nullcontext():
+                with pytest.raises(NumericError) as exc:
+                    ops.softmax_match(ref, tar)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == "softmax_columns: input contains non-finite values"
+        assert given == [(n // 2, n)]
+        assert npmca_threads() == []
+
+    @pytest.mark.parametrize("size", [(128, 192), (100, 100), (96, 144)], ids=["128x192", "100x100", "96x144"])
+    @pytest.mark.parametrize("plan", [(16, 32, 64), (4, 6, 8)], ids=["default-plan", "small-plan"])
+    def test_conv2d_is_bitwise_for_every_shape_the_model_makes(self, monkeypatch, size, plan):
+        shapes = set()
+        conv = ops.conv2d
+
+        def recording(x, w, b, stride=1, pad=0):
+            shapes.add((x.shape, w.shape, stride, pad))
+            return conv(x, w, b, stride, pad)
+
+        r = np.random.default_rng(3)
+        params = init_model_params(3, ModelConfig(stage_channels=plan))
+        images = [r.uniform(size=(*size, 3)) for _ in range(3)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "conv2d", recording)
+            forward_single_object(params, images[0], images[1], images[2], r.uniform(size=size))
+        assert len(shapes) >= 8
+
+        given = helper_halves(monkeypatch)
+        split = 0
+        for x_shape, w_shape, stride, pad in sorted(shapes):
+            x, w, b = r.normal(size=x_shape), r.normal(size=w_shape), r.normal(size=w_shape[-1])
+            whole = ops.conv2d(x, w, b, stride, pad).array
+            with ops.row_halves():
+                halves = ops.conv2d(x, w, b, stride, pad).array
+            assert halves.tobytes() == whole.tobytes(), (x_shape, w_shape)
+            rows = x_shape[0] * x_shape[1]  # every conv of the model keeps its size
+            split += w_shape[-1] % ops.HALVES_WIDTH == 0 and rows >= ops.HALVES_MIN_ROWS
+        split *= blas.CORE in ops.HALVES_CORES
+        assert len(given) == split
+        if plan == (16, 32, 64) and blas.CORE in ops.HALVES_CORES:
+            assert split >= 4
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((16, 24, 64), (3, 3, 64, 8)),  # 384 rows
+        ((128, 192, 2), (3, 3, 2, 4)),  # a width of 4
+    ], ids=["few-rows", "narrow"])
+    def test_products_whose_halves_differ_in_bits_stay_whole(self, monkeypatch, x_shape, w_shape):
+        # on OpenBLAS's SkylakeX kernels, halves of these two GEMMs were not bitwise
+        given = helper_halves(monkeypatch)
+        x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[-1])
+        whole = ops.conv2d(x, w, b, 1, 1).array
+        with ops.row_halves():
+            assert ops.conv2d(x, w, b, 1, 1).array.tobytes() == whole.tobytes()
+        assert given == []
+
+    def test_taped_calls_and_other_threads_take_no_half(self, monkeypatch):
+        given = helper_halves(monkeypatch)
+        x, w, b = rng.normal(size=(48, 64, 4)), rng.normal(size=(3, 3, 4, 16)), rng.normal(size=16)
+        ref, tar = rng.normal(size=(1200, 4)), rng.normal(size=(1200, 4))
+        with ops.row_halves():
+            tape = Tape()
+            ops.conv2d(tape.watch(x), w, b, 1, 1)
+            ops.softmax_match(tape.watch(ref), tar)
+            other = threading.Thread(target=lambda: (ops.conv2d(x, w, b, 1, 1), ops.softmax_match(ref, tar)))
+            other.start()
+            other.join(timeout=60)
+            assert not other.is_alive()
+        assert given == []
+        with ops.row_halves():
+            ops.conv2d(x, w, b, 1, 1)
+        assert given == ([(24, 48)] if blas.CORE in ops.HALVES_CORES else [])
+
+    def test_other_blas_kernels_split_only_the_softmax(self, monkeypatch):
+        # conv halves were measured bitwise with one OpenBLAS kernel set only
+        monkeypatch.setattr(blas, "CORE", "Haswell")
+        given = helper_halves(monkeypatch)
+        x, w, b = rng.normal(size=(48, 64, 4)), rng.normal(size=(3, 3, 4, 16)), rng.normal(size=16)
+        ref, tar = rng.normal(size=(1200, 4)), rng.normal(size=(1200, 4))
+        with ops.row_halves():
+            ops.conv2d(x, w, b, 1, 1)
+            assert given == []
+            ops.softmax_match(ref, tar)
+        assert given == [(600, 1200)] * 3
 
 
 class TestConv2d:
