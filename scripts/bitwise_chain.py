@@ -10,16 +10,20 @@ The CLI writes inference probabilities only as 8-bit rasters, so one more
 step, ``stack-hashes``, runs the export's ``infer_sequence`` with the
 pretrained checkpoint and prints the sha256 of each float64 (M+1, H, W)
 stack: on every 32x48 clip with default options and with
-``first_frame_only``, and on the 128x192 clip at one scale. That clip's
-1536-pixel feature grid is large enough for ``infer_sequence`` to lend
-row halves to a helper thread where two CPUs are usable, so the stacks of
-that path meet those of the serial code. Each step's standard output is
-kept as ``<step>.stdout``. Every file of the two output trees is then
-compared byte for byte; in ``run.cfg`` and ``*.stdout`` files the export's
-path is replaced by a placeholder first, since it differs by construction.
-Lists the files that differ or exist on one side only; exits 0 when there
-are none, 1 when there are some, 2 when a step of the chain fails.
-Standard library only.
+``first_frame_only``, and twice on the 128x192 clip at one scale. That
+clip's 1536-pixel feature grid is large enough for ``infer_sequence`` to
+compute its large steps as fixed halves (``ops.row_halves``): once as the
+host allows, with a helper thread where two CPUs are usable, and once
+with ``blas.workers`` held to 1, where the calling thread computes both
+halves. Each step's standard output is kept as ``<step>.stdout``. Every
+file of the two output trees is then compared byte for byte; in
+``run.cfg`` and ``*.stdout`` files the export's path is replaced by a
+placeholder first, since it differs by construction. Within each
+revision, the one-thread hashes are also compared with the others, so one
+run shows whether the helper changes a bit. Lists the files that differ
+or exist on one side only and the frames whose two one-scale hashes
+differ; exits 0 when there are none, 1 when there are some, 2 when a step
+of the chain fails. Standard library only.
 
     python3 scripts/bitwise_chain.py --base HEAD~1 --head HEAD
 """
@@ -38,6 +42,7 @@ PLACEHOLDER = b"<export>"
 # the stack-hashes step: run with the chain's output directory as argv[1]
 STACK_HASHES = """
 import hashlib, os, sys
+from npmca import blas
 from npmca.datagen import list_sequences, load_sequence
 from npmca.model import init_model_params, load_checkpoint
 from npmca.propagation import InferenceOptions, infer_sequence
@@ -53,8 +58,11 @@ for data in ("data", "occl"):
             for t, stack in enumerate(infer_sequence(video, video.masks[0], params, options).stacks):
                 print(data, name, label, t, hashlib.sha256(stack.tobytes()).hexdigest())
 video = load_sequence(os.path.join(out, "large"), "seq00000")
-for t, stack in enumerate(infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,))).stacks):
-    print("large seq00000 one-scale", t, hashlib.sha256(stack.tobytes()).hexdigest())
+for label in ("one-scale", "one-scale-one-thread"):
+    if label == "one-scale-one-thread":
+        blas.workers = lambda tasks: 1
+    for t, stack in enumerate(infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,))).stacks):
+        print("large seq00000", label, t, hashlib.sha256(stack.tobytes()).hexdigest())
 """
 
 # (step, argv); "{out}" is the chain's output directory inside the export.
@@ -151,12 +159,36 @@ def compare_trees(base_root: str, head_root: str, base_prefix: str, head_prefix:
     }
 
 
+def thread_dependent_frames(out: str) -> tuple[int, list[str]]:
+    """How many frames of the one-scale 128x192 clip ``stack-hashes.stdout``
+    holds, and those whose stack hash differs between the run as the host
+    allows and the one with one thread, or is missing from one of them."""
+    runs = {"one-scale": {}, "one-scale-one-thread": {}}
+    with open(os.path.join(out, "stack-hashes.stdout"), encoding="ascii") as fh:
+        for line in fh:
+            fields = line.split()
+            if fields[0] == "large" and fields[2] in runs:
+                runs[fields[2]][fields[3]] = fields[4]
+    frames = sorted(runs["one-scale"].keys() | runs["one-scale-one-thread"].keys(), key=int)
+    return len(frames), [t for t in frames if runs["one-scale"].get(t) != runs["one-scale-one-thread"].get(t)]
+
+
 def report(result: dict, stream) -> int:
     for key, label in (("differ", "differs"), ("only_base", "only in base"), ("only_head", "only in head")):
         for rel in result[key]:
             print(f"{label}: {rel}", file=stream)
     bad = len(result["differ"]) + len(result["only_base"]) + len(result["only_head"])
     print(f"{result['compared']} files on both sides, {bad} differing or missing", file=stream)
+    threads = result.get("thread_dependent")
+    if threads is not None:
+        for side, (count, frames) in threads.items():
+            for t in frames:
+                print(f"{side}: one-scale frame {t} differs with one thread", file=stream)
+            # no frame at all means the comparison did not run
+            bad += len(frames) if count else 1
+        counts = ", ".join(f"{side} {count}" for side, (count, _) in threads.items())
+        differing = sum(len(frames) for _, frames in threads.values())
+        print(f"one-scale stacks with one thread: frames compared {counts}, {differing} differing", file=stream)
     return 1 if bad else 0
 
 
@@ -171,6 +203,7 @@ def main(argv=None) -> int:
             print(f"{side} {rev[:12]}: running the chain", file=sys.stderr, flush=True)
             outs[side] = run_chain(checkouts[side])
         result = compare_trees(outs["base"], outs["head"], checkouts["base"], checkouts["head"])
+        result["thread_dependent"] = {side: thread_dependent_frames(out) for side, out in outs.items()}
     finally:
         for path in checkouts.values():
             shutil.rmtree(path, ignore_errors=True)

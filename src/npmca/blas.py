@@ -12,9 +12,9 @@ setter still takes effect. Where no setter is found (numpy on MKL,
 Accelerate or a system BLAS), BLAS keeps its own thread count and
 ``PINNED`` is false.
 
-``CORE`` names the kernel set the same library picked for this CPU:
-numpy's OpenBLAS is built with ``DYNAMIC_ARCH``, which picks one per CPU
-model, and rounding can differ between kernel sets.
+numpy's OpenBLAS is built with ``DYNAMIC_ARCH``: it picks a kernel set
+per CPU model, and rounding can differ between kernel sets, so bits are
+reproducible on one host, not between hosts of other CPU models.
 """
 
 import ctypes
@@ -23,10 +23,8 @@ import os
 
 import numpy as np
 
-# the names numpy's OpenBLAS builds have exported the setter and the
-# core-name getter under
+# the names numpy's OpenBLAS builds have exported the setter under
 _SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
-_CORE_NAMES = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
 
 
 def _openblas_libraries() -> list[str]:
@@ -35,45 +33,24 @@ def _openblas_libraries() -> list[str]:
     return sorted(glob.glob(os.path.join(libs, "*openblas*")))
 
 
-def _exported(names: tuple[str, ...]):
-    """The first function exported under one of ``names`` by a library
-    of ``_openblas_libraries``, or None."""
+def pin_one_thread() -> bool:
+    """Set numpy's OpenBLAS to one thread; whether a setter was found."""
     for path in _openblas_libraries():
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in names:
-            function = getattr(lib, name, None)
-            if function is not None:
-                return function
-    return None
-
-
-def pin_one_thread() -> bool:
-    """Set numpy's OpenBLAS to one thread; whether a setter was found."""
-    setter = _exported(_SETTERS)
-    if setter is None:
-        return False
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    setter(1)
-    return True
-
-
-def core_name() -> str | None:
-    """The kernel set numpy's OpenBLAS picked for this CPU, such as
-    "SkylakeX" or "Haswell"; None where no getter is found."""
-    getter = _exported(_CORE_NAMES)
-    if getter is None:
-        return None
-    getter.argtypes = []
-    getter.restype = ctypes.c_char_p
-    return getter().decode()
+        for name in _SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return True
+    return False
 
 
 PINNED = pin_one_thread()
-CORE = core_name()
 
 
 def workers(tasks: int) -> int:

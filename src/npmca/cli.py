@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import blas
+from . import blas, ops
 from .datagen import (
     format_scene_cfg,
     generate_sequence,
@@ -259,8 +259,8 @@ def cmd_infer(args) -> int:
         clips.append((video, first_mask))
     frame_objects, busy, helped = 0, 0.0, 0
     for video, first_mask in clips:
-        threads, helper = loop_threads(options.scales, first_mask.shape)
-        helped += helper
+        threads, halves = loop_threads(options.scales, first_mask.shape)
+        helped += halves and ops.lends_helper()
         start = time.perf_counter()
         result = infer_sequence(video, first_mask, params, options)
         busy += time.perf_counter() - start

@@ -10,17 +10,22 @@ element broadcast against the other.
 bit the composition of ``matmul``, ``transpose`` and ``softmax_columns``,
 in one N x N buffer and one tape node instead of five.
 
-Inside ``row_halves``, the untaped ``conv2d`` and ``softmax_match`` calls
-of the thread that entered it give the lower half of their rows to one
-helper thread. Each half is written into the one output buffer, and only
-steps that compute each row on its own are split, GEMMs only with the
-OpenBLAS kernels and shapes whose halves were measured bitwise, so every
-bit is unchanged.
+Inside ``row_halves``, each untaped product of the thread that entered it
+(the ``conv2d`` forward GEMM, ``matmul`` and both GEMMs of
+``softmax_match``) is computed by one partition rule that reads only its
+shape: an output of at least ``HALVES_MIN_ROWS`` rows as two fixed row
+halves, one with fewer rows but at least that many columns as two fixed
+column halves, any other whole. The softmax steps of ``softmax_match``
+follow the same row rule. The halves do not depend on whether a helper
+thread was lent, so no bit depends on the CPU count: a helper computes
+the lower half while the caller computes the upper one; without one,
+the caller computes both in order. Each half is written into the one
+output buffer the caller allocated.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -195,6 +200,105 @@ def concat_channels(parts) -> Tensor:
     return tape.record("concat_channels", tuple(parts), out, vjp)
 
 
+# The partition rule of row_halves: an output of at least HALVES_MIN_ROWS rows
+# is computed as two row halves, else one of at least HALVES_MIN_ROWS columns
+# as two column halves. OpenBLAS picks its kernels by size, so a half's bits
+# can differ from the whole product's; they never depend on the helper.
+HALVES_MIN_ROWS = 1024
+
+
+class _Halves(threading.local):
+    open = False  # whether a row_halves context is open on this thread
+    helper = None  # the helper thread it lent, if any
+
+
+_halves = _Halves()
+
+
+def lends_helper() -> bool:
+    """Whether ``row_halves`` lends a helper thread: where two CPUs are
+    usable (``blas.workers``)."""
+    return blas.workers(2) >= 2
+
+
+@contextmanager
+def row_halves():
+    """Compute this thread's untaped products and match softmaxes by the
+    partition rule until the context closes.
+
+    Where ``lends_helper()``, one helper thread computes each lower half,
+    else this thread computes both halves in order; the bits are the same.
+    Other threads never see the context. The helper is shut down on the
+    way out, error or not.
+    """
+    outer = _halves.open, _halves.helper
+    with ThreadPoolExecutor(1, thread_name_prefix="npmca-rows") if lends_helper() else nullcontext() as helper:
+        _halves.open, _halves.helper = True, helper
+        try:
+            yield
+        finally:
+            _halves.open, _halves.helper = outer
+
+
+def _run_halves(part, n: int, split: bool) -> None:
+    """``part(start, stop)`` over [0, n): once when not ``split``, else
+    over the two fixed halves [0, n // 2) and [n // 2, n). A helper lent by
+    ``row_halves`` runs the lower half while this thread runs the upper
+    one; this thread's error, else the helper's, reaches the caller."""
+    if not split:
+        part(0, n)
+        return
+    helper = _halves.helper
+    if helper is None:
+        part(0, n // 2)
+        part(n // 2, n)
+        return
+    lower = helper.submit(part, n // 2, n)
+    try:
+        part(0, n // 2)
+    finally:
+        wait((lower,))
+    lower.result()
+
+
+def _product(a, b, out: np.ndarray, taped: bool = False, bias=None, step: int = 1) -> np.ndarray:
+    """``a @ b`` (plus ``bias`` on every row) written into ``out``, by the
+    partition rule inside ``row_halves`` unless ``taped``, else whole.
+
+    ``a`` is a matrix, or a function ``a(lo, hi)`` giving the rows of ``a``
+    for output rows [lo * step, hi * step): conv2d lays out its patch rows
+    that way, in the thread that multiplies them, and splits its rows at a
+    row of its output map (``step`` pixels).
+    """
+    rows, cols = out.shape
+    split = _halves.open and not taped
+    if not (split and max(rows, cols) >= HALVES_MIN_ROWS):
+        np.matmul(a(0, rows // step) if callable(a) else a, b, out=out)
+        if bias is not None:
+            out += bias
+        return out
+    rows_of = a if callable(a) else (lambda lo, hi: a[lo * step : hi * step])
+    if rows >= HALVES_MIN_ROWS:
+        def part(lo, hi):
+            rows_out = out[lo * step : hi * step]
+            np.matmul(rows_of(lo, hi), b, out=rows_out)
+            if bias is not None:
+                rows_out += bias
+
+        _run_halves(part, rows // step, True)
+        return out
+    whole = rows_of(0, rows // step)
+
+    def part(lo, hi):
+        cols_out = out[:, lo:hi]
+        np.matmul(whole, b[:, lo:hi], out=cols_out)
+        if bias is not None:
+            cols_out += bias[lo:hi]
+
+    _run_halves(part, cols, True)
+    return out
+
+
 def matmul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
@@ -203,71 +307,22 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.shape} and {b.shape}")
     A, B = a.array, b.array
-    out = A @ B
     tape = resolve_tape(a, b)
+    out = _product(A, B, np.empty((A.shape[0], B.shape[1])), taped=tape is not None)
     if tape is None:
         return Tensor(out)
     return tape.record("matmul", (a, b), out, lambda g: (g @ B.T, A.T @ g))
 
 
-# OpenBLAS picks its GEMM kernel by size, so a half can take another
-# kernel than the whole, with other rounding. conv2d splits only products
-# with an output width that is a multiple of HALVES_WIDTH and at least
-# HALVES_MIN_ROWS rows, and only with the kernel sets in HALVES_CORES
-# (blas.CORE): halves were measured bitwise there, and nowhere else.
-HALVES_WIDTH = 8
-HALVES_MIN_ROWS = 1024
-HALVES_CORES = ("SkylakeX",)
-
-
-class _Lent(threading.local):
-    helper = None  # the helper of the row_halves context open on this thread, if any
-
-
-_lent = _Lent()
-
-
-@contextmanager
-def row_halves():
-    """Lend one helper thread to this thread's untaped ``conv2d`` and
-    ``softmax_match`` calls until the context closes.
-
-    Other threads never see the helper, and no bit depends on it. The
-    helper is shut down on the way out, error or not.
-    """
-    outer = _lent.helper
-    with ThreadPoolExecutor(1, thread_name_prefix="npmca-rows") as helper:
-        _lent.helper = helper
-        try:
-            yield
-        finally:
-            _lent.helper = outer
-
-
-def _run_rows(helper, part, rows: int) -> None:
-    """``part(start, stop)`` over rows [0, rows): with a helper, the helper
-    runs the lower half while this thread runs the upper one, else this
-    thread runs them all. Returns when both halves are done; this thread's
-    error, else the helper's, reaches the caller."""
-    if helper is None or rows < 2:
-        part(0, rows)
-        return
-    lower = helper.submit(part, rows // 2, rows)
-    try:
-        part(0, rows // 2)
-    finally:
-        wait((lower,))
-    lower.result()
-
-
-def _softmax_columns_inplace(m: np.ndarray, out=None, helper=None) -> np.ndarray:
+def _softmax_columns_inplace(m: np.ndarray, out=None, split: bool = False) -> np.ndarray:
     """Column softmax of a finite matrix, written into ``out`` (which may be
     ``m`` itself) or into a fresh array when ``out`` is None. Raises
     ``NumericError`` on any non-finite entry: a NaN or a +inf makes its
     column's max non-finite, a -inf its column's min.
 
-    A ``helper`` takes the lower row half of each row-independent step;
-    the column sum is one pass over all rows, so no bit depends on it.
+    With ``split``, each row-independent step runs over two row halves
+    (``_run_halves``); the column sum is one pass over all rows, so no
+    bit depends on it.
     """
     if out is None:
         out = np.empty_like(m)
@@ -276,7 +331,7 @@ def _softmax_columns_inplace(m: np.ndarray, out=None, helper=None) -> np.ndarray
     def column_extremes(lo, hi):
         extremes[lo] = (m[lo:hi].max(axis=0), m[lo:hi].min(axis=0))
 
-    _run_rows(helper, column_extremes, len(m))
+    _run_halves(column_extremes, len(m), split)
     col_max = reduce(np.maximum, (top for top, _ in extremes.values()))
     col_min = reduce(np.minimum, (bottom for _, bottom in extremes.values()))
     if not (np.isfinite(col_max).all() and np.isfinite(col_min).all()):
@@ -285,13 +340,13 @@ def _softmax_columns_inplace(m: np.ndarray, out=None, helper=None) -> np.ndarray
     def shifted_exp(lo, hi):
         np.exp(np.subtract(m[lo:hi], col_max, out=out[lo:hi]), out=out[lo:hi])
 
-    _run_rows(helper, shifted_exp, len(m))
+    _run_halves(shifted_exp, len(m), split)
     col_sum = out.sum(axis=0)
 
     def normalised(lo, hi):
         np.divide(out[lo:hi], col_sum, out=out[lo:hi])
 
-    _run_rows(helper, normalised, len(m))
+    _run_halves(normalised, len(m), split)
     return out
 
 
@@ -328,9 +383,11 @@ def softmax_match(ref, tar) -> Tensor:
         raise ShapeError(f"softmax_match: reference {ref.shape} and target {tar.shape} grids differ")
     R = ref.array
     tape = resolve_tape(ref, tar)
-    if tape is None:  # the faster layout at inference; the two GEMMs stay whole, as their halves differ in bits
-        s = R @ tar.array.T
-        return Tensor(R.T @ _softmax_columns_inplace(s, out=s, helper=_lent.helper))
+    if tape is None:  # the faster layout at inference, each step by the partition rule inside row_halves
+        n, c = R.shape
+        s = _product(R, tar.array.T, np.empty((n, n)))
+        _softmax_columns_inplace(s, out=s, split=_halves.open and n >= HALVES_MIN_ROWS)
+        return Tensor(_product(R.T, s, np.empty((c, n))))
     # contiguous transposes, as transpose nodes hand them to matmul: the composed tape's products and bits
     ref_t = np.ascontiguousarray(R.T)
     tar_t = np.ascontiguousarray(tar.array.T)
@@ -369,26 +426,23 @@ def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int)
     )
 
 
-def _conv_rows(helper, xp: np.ndarray, taps: np.ndarray, bias: np.ndarray, kh: int, kw: int,
-               stride: int, oh: int, ow: int) -> np.ndarray:
-    """The conv2d forward, with ``helper`` (if any) taking the lower half of
-    the output rows. Each half lays out its own patch rows and multiplies
-    them into its rows of the one output. The patch matrix and the output
-    are allocated here, on the calling thread: buffers a helper allocated
-    would stay in its own malloc arena and raise peak memory."""
+def _conv_forward(xp: np.ndarray, taps: np.ndarray, bias: np.ndarray, kh: int, kw: int, stride: int,
+                  oh: int, ow: int, taped: bool) -> np.ndarray:
+    """The conv2d forward: one ``_product`` of the patch matrix and the
+    taps, whose row halves (inside ``row_halves``) each lay out their own
+    patch rows. The patch matrix and the output are allocated here, on the
+    calling thread: buffers a helper allocated would stay in its own
+    malloc arena and raise peak memory."""
     view = _patch_view(xp, kh, kw, stride, oh, ow)
     direct = kh == kw == stride == 1  # the patches of a 1x1 kernel at stride 1 are the map as it lies
     cols = xp.reshape(view.shape) if direct else np.empty(view.shape)
-    out = np.empty((oh * ow, taps.shape[1]))
 
-    def output_rows(lo, hi):
+    def patch_rows(lo, hi):
         if not direct:
             cols[lo:hi] = view[lo:hi]
-        part = out[lo * ow : hi * ow]
-        np.matmul(cols[lo:hi].reshape(len(part), -1), taps, out=part)
-        part += bias
+        return cols[lo:hi].reshape((hi - lo) * ow, len(taps))
 
-    _run_rows(helper, output_rows, oh)
+    out = _product(patch_rows, taps, np.empty((oh * ow, taps.shape[1])), taped=taped, bias=bias, step=ow)
     return out.reshape(oh, ow, -1)
 
 
@@ -400,7 +454,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     must be divisible by the stride, otherwise the call is a shape error.
 
     The forward pass is one GEMM over the (OH*OW, kh*kw*Cin) patch matrix,
-    or two over its row halves inside ``row_halves``.
+    split by the partition rule inside ``row_halves``.
     On a tape, the adjoint keeps the input map, not that kh*kw times wider
     matrix, and lays the patches out again for the weight adjoint: the same
     copy gives the same bits, and a training sample's tape holds about a
@@ -436,8 +490,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
         return _pad_spatial(x_arr, pad) if pad else x_arr
 
     tape = resolve_tape(x, w, b)
-    split = tape is None and cout % HALVES_WIDTH == 0 and oh * ow >= HALVES_MIN_ROWS and blas.CORE in HALVES_CORES
-    out = _conv_rows(_lent.helper if split else None, padded(), taps, b.array, kh, kw, stride, oh, ow)
+    out = _conv_forward(padded(), taps, b.array, kh, kw, stride, oh, ow, taped=tape is not None)
     if tape is None:
         return Tensor(out)
 

@@ -19,16 +19,18 @@ another, which bounds the passes alive at once to one object's S. The
 planes are added in scale order whatever thread made them, so stacks and
 label rasters do not depend on the thread count.
 
-One scale gives the pool nothing to run. Below a feature grid of
-``HELPER_MIN_GRID`` pixels such a loop starts no thread; from there on,
-with two usable threads, it keeps one helper thread (``ops.row_halves``)
-that takes the lower row half of each pass's similarity softmax and, with
-the OpenBLAS kernels where that was measured bitwise, of its conv GEMMs.
-``loop_threads`` is that rule. The halves are written into the buffers
-the whole would fill, with the same bits, so the helper needs no extra
-memory and changes no output.
+One scale gives the pool nothing to run. From a feature grid of
+``HELPER_MIN_GRID`` pixels on, such a loop runs inside ``ops.row_halves``,
+which computes each pass's large products (conv GEMMs, similarity and
+blend) and similarity softmax as two fixed halves, by a rule that reads
+only their shapes. With two usable threads a helper thread computes the
+lower halves; with one the calling thread computes both. ``loop_threads``
+is that rule. The halves are written into the buffers the whole would
+fill, so the helper needs no extra buffer, and their bits do not depend
+on whether it was lent.
 """
 
+import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -44,12 +46,15 @@ from .tensor import Tensor
 
 CLAMP_EPS = 1e-7
 DEFAULT_SCALES = (0.75, 1.0, 1.25)
-# The feature grid (pixels) from which a one-scale frame loop keeps a row-half
-# helper. Timed with forward_single_object passes alone, on a 2-vCPU Xeon with
-# OpenBLAS's SkylakeX kernels, a pass took 15% less time with the helper at
-# 1024 pixels, 9% less at 864, the same at 640 and 28% more at 384. No
-# benchmark workload runs one scale below it, so only the side above it is
-# measured end to end.
+# The feature grid (pixels) from which a one-scale frame loop runs inside
+# ops.row_halves: a speed cut only, since the bits do not depend on it. Timed
+# with forward_single_object passes alone (median of 3 rounds of 23 passes) on
+# a 2-vCPU Xeon with OpenBLAS's SkylakeX kernels, a pass inside the context
+# with a helper took 24% less time than one outside it at 1024 pixels and 30%
+# less at 1536, where the matching products split too; 3% less at 864, the
+# same at 768, and 3% more at 640 and 7-10% more at 384, where only the convs
+# split. No benchmark workload runs one scale below it, so only the side above
+# it is measured end to end.
 HELPER_MIN_GRID = 1024
 
 
@@ -105,8 +110,12 @@ class InferenceOptions:
 
 
 def _scaled_size(value: int, scale: float) -> int:
-    """Nearest multiple of GRID_STRIDE, at least two of them, so the encoder grid works out."""
-    return max(2 * GRID_STRIDE, int(round(value * scale / GRID_STRIDE)) * GRID_STRIDE)
+    """Nearest multiple of GRID_STRIDE, at least two of them, so the encoder grid works out.
+    Raises ValueError for a scale that makes the side too large for a float."""
+    strides = value * scale / GRID_STRIDE
+    if not np.isfinite(strides):
+        raise ValueError(f"scale {scale} makes a side of {value} pixels too large to represent")
+    return max(2 * GRID_STRIDE, int(round(strides)) * GRID_STRIDE)
 
 
 def _resize_rgb(image: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -148,16 +157,16 @@ def first_mask_objects(video, first_mask) -> list[int]:
 
 def loop_threads(scales: tuple[float, ...], size: tuple[int, int]) -> tuple[int, bool]:
     """The frame loop's threads for frames of ``size`` (H, W): how many
-    scale threads run an object's scale passes, and whether a helper
-    thread takes the lower row halves of each pass's large steps
-    (``ops.row_halves``).
+    scale threads run an object's scale passes, and whether the loop runs
+    inside ``ops.row_halves``, which lends a helper thread where two CPUs
+    are usable.
 
-    The helper runs only where the scale pool has nothing to feed: one
-    scale, two usable threads, and a feature grid of at least
-    ``HELPER_MIN_GRID`` pixels.
+    The halves run only where the scale pool has nothing to feed: one
+    scale and a feature grid of at least ``HELPER_MIN_GRID`` pixels. The
+    rule reads shapes only, so the bits do not depend on the CPU count.
     """
     threads = blas.workers(len(scales))
-    if len(scales) != 1 or blas.workers(2) < 2:
+    if len(scales) != 1:
         return threads, False
     sh, sw = (_scaled_size(side, scales[0]) for side in size)
     return threads, (sh // GRID_STRIDE) * (sw // GRID_STRIDE) >= HELPER_MIN_GRID
@@ -206,10 +215,10 @@ def infer_sequence(
             first_features.append([encode_reference_image(params, _resize_rgb(masked, sh, sw)) for sh, sw in sizes])
 
     largest = max(range(len(sizes)), key=options.scales.__getitem__)
-    threads, helper = loop_threads(options.scales, (h, w))
+    threads, halves = loop_threads(options.scales, (h, w))
     prev_rgb = first_rgb
     with (ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-scale") if threads > 1 else nullcontext() as pool,
-          ops.row_halves() if helper else nullcontext()):
+          ops.row_halves() if halves else nullcontext()):
         for t in range(1, len(frames)):
             cur_rgb = to_unit_float(frames[t])
             cur_scaled = [_resize_rgb(cur_rgb, sh, sw) for sh, sw in sizes]
@@ -253,12 +262,20 @@ def infer_sequence(
 
 
 def write_predictions(out_dir, name: str, result: InferResult, dump_probs: bool = False) -> str:
-    """Write one PGM label raster per frame, plus per-object probability
-    rasters under probs/ when asked."""
+    """Write one PGM label raster per frame, ``stacks.sha256`` with one
+    line per frame (its index and the sha256 of its float64 stack, little
+    endian), plus per-object probability rasters under probs/ when asked.
+
+    The rasters hold 8 bits of each probability; the hashes make every bit
+    of the stacks part of the tree that reruns are compared by.
+    """
     base = os.path.join(out_dir, name)
     os.makedirs(base, exist_ok=True)
     for t, mask in enumerate(result.masks):
         write_pgm(os.path.join(base, f"{t:05d}.pgm"), mask)
+    with open(os.path.join(base, "stacks.sha256"), "w", encoding="ascii", newline="\n") as fh:
+        for t, stack in enumerate(result.stacks):
+            fh.write(f"{t:05d} {hashlib.sha256(stack.astype('<f8', copy=False).tobytes()).hexdigest()}\n")
     if dump_probs:
         prob_dir = os.path.join(base, "probs")
         os.makedirs(prob_dir, exist_ok=True)

@@ -84,3 +84,36 @@ def test_paths_of_the_export_are_normalised_but_nothing_else(tmp_path):
     base, head = tmp_path / "bin" / "base", tmp_path / "bin" / "head"
     result = bitwise_chain.compare_trees(str(make_tree(base, in_ckpt)), str(make_tree(head, both)), str(base), str(head))
     assert result["differ"] == ["finetune/model.ckpt"]
+
+
+def write_stack_hashes(out, one_scale, one_thread):
+    """A ``stack-hashes.stdout`` with one small-clip line and the given
+    one-scale hashes of each run, frame by frame."""
+    lines = ["data seq00000 default 0 aa"]
+    lines += [f"large seq00000 one-scale {t} {h}" for t, h in enumerate(one_scale)]
+    lines += [f"large seq00000 one-scale-one-thread {t} {h}" for t, h in enumerate(one_thread)]
+    out.mkdir(parents=True)
+    (out / "stack-hashes.stdout").write_text("\n".join(lines) + "\n")
+    return str(out)
+
+
+def test_one_scale_hashes_are_compared_with_one_thread(tmp_path):
+    same = write_stack_hashes(tmp_path / "same", ["a", "b", "c"], ["a", "b", "c"])
+    assert bitwise_chain.thread_dependent_frames(same) == (3, [])
+    other = write_stack_hashes(tmp_path / "other", ["a", "b", "c"], ["a", "x", "c"])
+    assert bitwise_chain.thread_dependent_frames(other) == (3, ["1"])
+    short = write_stack_hashes(tmp_path / "short", ["a", "b", "c"], ["a", "b"])
+    assert bitwise_chain.thread_dependent_frames(short) == (3, ["2"])
+
+    def reported(threads):
+        result = {"compared": 4, "differ": [], "only_base": [], "only_head": [], "thread_dependent": threads}
+        stream = io.StringIO()
+        return bitwise_chain.report(result, stream), stream.getvalue()
+
+    code, text = reported({"base": (3, []), "head": (3, [])})
+    assert code == 0
+    assert text.endswith("one-scale stacks with one thread: frames compared base 3, head 3, 0 differing\n")
+    code, text = reported({"base": (3, []), "head": (3, ["1"])})
+    assert code == 1 and "head: one-scale frame 1 differs with one thread" in text
+    # a side that printed no one-scale hash compared nothing
+    assert reported({"base": (3, []), "head": (0, [])})[0] == 1

@@ -320,7 +320,7 @@ class TestInfer:
         assert code == 0
         video = load_sequence(dataset, "seq00000")
         written = sorted(os.listdir(os.path.join(out, "seq00000")))
-        assert len(written) == len(video.frames)
+        assert written == [f"{t:05d}.pgm" for t in range(len(video.frames))] + ["stacks.sha256"]
         first = read_pgm(os.path.join(out, "seq00000", "00000.pgm"))
         np.testing.assert_array_equal(first.astype(np.int64), video.masks[0])
 
@@ -340,7 +340,7 @@ class TestInfer:
             code = run_cli(["infer", "--data", dataset, "--checkpoint", ckpt, "--out", out,
                             "--sequence", "seq00002"] + extra)
             assert code == 0
-            assert len(os.listdir(os.path.join(out, "seq00002"))) == 6
+            assert len(os.listdir(os.path.join(out, "seq00002"))) == 7  # 6 label rasters and stacks.sha256
 
     def test_bad_scales_is_usage_error(self, dataset, trained, tmp_path, capsys):
         code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
@@ -353,6 +353,14 @@ class TestInfer:
             assert code == 2, scales
             err = capsys.readouterr().err
             assert "scales must be finite and > 0" in err and "Traceback" not in err, scales
+        # a scale that makes the frame too large to represent; 1e300 fails on the allocation
+        for scales, message in (("1e308", "scale 1e+308 makes a side of 32 pixels too large to represent"),
+                                ("1e300", "npmca")):
+            code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                            "--out", str(tmp_path / "x"), "--scales", scales])
+            assert code == 2, scales
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, scales
 
     def test_config_replays_flags_bitwise(self, dataset, trained, tmp_path):
         first, again = str(tmp_path / "first"), str(tmp_path / "again")

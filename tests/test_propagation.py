@@ -1,5 +1,6 @@
 """Aggregation math and the sequential inference loop."""
 
+import hashlib
 import os
 import sys
 import threading
@@ -17,6 +18,7 @@ from npmca.errors import ShapeError
 from npmca.model import ModelConfig, init_model_params
 from npmca.propagation import (
     InferenceOptions,
+    InferResult,
     aggregate_multi_object,
     infer_sequence,
     mask_out_background,
@@ -194,6 +196,22 @@ class TestInferSequence:
         assert np.array_equal(raster.astype(np.int64), result.masks[1])
         first_prob = read_pgm(f"{base}/probs/00001_00.pgm")
         assert first_prob.shape == (32, 48)
+        lines = open(f"{base}/stacks.sha256", encoding="ascii").read().splitlines()
+        assert lines == [f"{t:05d} {hashlib.sha256(stack.tobytes()).hexdigest()}" for t, stack in enumerate(result.stacks)]
+
+    def test_stack_hashes_see_a_change_the_rasters_miss(self, tmp_path):
+        video, params = tiny_setup(8)
+        result = infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,)))
+        nudged = InferResult(result.masks, [s.copy() for s in result.stacks], result.object_ids)
+        nudged.stacks[2] *= 1 + 1e-15
+        assert nudged.stacks[2].tobytes() != result.stacks[2].tobytes()
+        trees = [write_predictions(tmp_path / tag, video.name, r, dump_probs=True)
+                 for tag, r in (("plain", result), ("nudged", nudged))]
+        files = [{os.path.relpath(os.path.join(d, f), base): open(os.path.join(d, f), "rb").read()
+                  for d, _, names in os.walk(base) for f in names} for base in trees]
+        assert files[0].keys() == files[1].keys()
+        assert [rel for rel in files[0] if files[0][rel] != files[1][rel]] == ["stacks.sha256"]
+        assert len(files[0]) == 1 + len(result.masks) + sum(len(stack) for stack in result.stacks)
 
 
 class TestReferenceEncodes:
@@ -355,8 +373,9 @@ class TestScaleThreads:
 
 
 class TestRowHalves:
-    """One scale on a large grid lends the lower row halves of each pass to
-    a helper thread; stacks and label rasters equal the serial loop's."""
+    """One scale on a large grid computes each pass's large steps as two
+    halves, the lower ones on a helper thread where two CPUs are usable;
+    stacks and label rasters equal those of one CPU."""
 
     @staticmethod
     def large_setup():
@@ -390,8 +409,10 @@ class TestRowHalves:
         assert propagation.loop_threads((1.0,), (64, 96)) == (1, False)
         assert propagation.loop_threads((0.5,), (256, 384)) == (1, True)
         assert propagation.loop_threads((0.75, 1.0, 1.25), (128, 192)) == (2, False)
+        # the rule reads shapes only: one CPU runs the same halves without a helper
         use_threads(monkeypatch, 1)
-        assert propagation.loop_threads((1.0,), (128, 192)) == (1, False)
+        assert propagation.loop_threads((1.0,), (128, 192)) == (1, True)
+        assert propagation.loop_threads((1.0,), (124, 128)) == (1, False)
 
     def test_stacks_and_labels_equal_one_thread(self, monkeypatch):
         video, params = self.large_setup()
@@ -406,10 +427,11 @@ class TestRowHalves:
                 results[count] = infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,)))
             finally:
                 sys.setswitchinterval(interval)
-            # per pass: the three softmax steps of each of the two matches, and the
-            # width-8 stage-3 convs of the previous reference and the target
-            convs = 2 if blas.CORE in ops.HALVES_CORES else 0
-            assert len(given) == (2 * 2 * (2 * 3 + convs) if count == 2 else 0)
+            # per pass, every product of at least 1024 rows: the 14 convs (both
+            # encoders' three stages, four reductions, fusion, two refinements and
+            # the head), the CM blocks' two (1536, 2) mixes, and each match's five
+            # halves (similarity, three softmax steps, blend); no helper on one CPU
+            assert len(given) == (2 * 2 * (14 + 2 + 2 * 5) if count == 2 else 0)
         assert len(results[1].object_ids) == 2
         for a, b in zip(results[1].masks, results[2].masks):
             assert a.tobytes() == b.tobytes()

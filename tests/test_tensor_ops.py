@@ -1,5 +1,6 @@
 """Forward behaviour of the tensor engine's primitive operations."""
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -132,14 +133,34 @@ def helper_halves(monkeypatch):
     return given
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make ``blas.workers`` see ``cpus`` usable CPUs, with BLAS pinned."""
+    monkeypatch.setattr(blas, "PINNED", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def halves_with_and_without_helper(monkeypatch, call):
+    """``call()``'s array inside ``row_halves`` with one usable CPU (the
+    caller computes both halves) and with two (a helper computes the lower
+    ones); asserts they are equal bit for bit and returns the second."""
+    results = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        with ops.row_halves():
+            results.append(call().array)
+    assert results[0].tobytes() == results[1].tobytes()
+    return results[1]
+
+
 def npmca_threads():
     return [t for t in threading.enumerate() if t.name.startswith("npmca")]
 
 
 class TestRowHalves:
-    """Inside ``ops.row_halves`` the untaped ``softmax_match`` and
-    ``conv2d`` give the lower half of their rows to a helper thread; the
-    results equal the calls without it bit for bit."""
+    """Inside ``ops.row_halves`` untaped products with at least 1024 rows
+    are computed as two row halves, those with fewer rows but at least 1024
+    columns as two column halves. The halves are the same with and without
+    the helper thread, so the results are equal bit for bit."""
 
     @pytest.mark.parametrize("n", [1024, 1037, 1536, 2047, 2400])
     def test_softmax_match_is_bitwise(self, monkeypatch, n):
@@ -147,16 +168,17 @@ class TestRowHalves:
         r = np.random.default_rng(n)
         ref, tar = r.normal(size=(n, 16)), r.normal(size=(n, 16))
         whole = ops.softmax_match(ref, tar).array
-        with ops.row_halves():
-            halves = ops.softmax_match(ref, tar).array
-        assert halves.tobytes() == whole.tobytes()
-        # the column extremes, the shifted exp and the divide; the GEMMs stay whole
-        assert given == [(n // 2, n)] * 3
+        halves = halves_with_and_without_helper(monkeypatch, lambda: ops.softmax_match(ref, tar))
+        # the similarity's row halves, the column extremes, the shifted exp,
+        # the divide, and the (16, n) blend's column halves
+        assert given == [(n // 2, n)] * 5
+        assert_allclose(halves, whole, rtol=1e-12, atol=0)
         assert npmca_threads() == []
 
     @pytest.mark.parametrize("half", ["top", "bottom"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_entry_raises_the_same_error(self, monkeypatch, half, value):
+        use_cpus(monkeypatch, 2)
         given = helper_halves(monkeypatch)
         n = 1100
         r = np.random.default_rng(7)
@@ -171,7 +193,7 @@ class TestRowHalves:
                     ops.softmax_match(ref, tar)
             errors.append(str(exc.value))
         assert errors[0] == errors[1] == "softmax_columns: input contains non-finite values"
-        assert given == [(n // 2, n)]
+        assert given == [(n // 2, n)] * 2  # the similarity and the column extremes
         assert npmca_threads() == []
 
     @pytest.mark.parametrize("size", [(128, 192), (100, 100), (96, 144)], ids=["128x192", "100x100", "96x144"])
@@ -197,30 +219,62 @@ class TestRowHalves:
         for x_shape, w_shape, stride, pad in sorted(shapes):
             x, w, b = r.normal(size=x_shape), r.normal(size=w_shape), r.normal(size=w_shape[-1])
             whole = ops.conv2d(x, w, b, stride, pad).array
-            with ops.row_halves():
-                halves = ops.conv2d(x, w, b, stride, pad).array
-            assert halves.tobytes() == whole.tobytes(), (x_shape, w_shape)
-            rows = x_shape[0] * x_shape[1]  # every conv of the model keeps its size
-            split += w_shape[-1] % ops.HALVES_WIDTH == 0 and rows >= ops.HALVES_MIN_ROWS
-        split *= blas.CORE in ops.HALVES_CORES
+            halves = halves_with_and_without_helper(monkeypatch, lambda: ops.conv2d(x, w, b, stride, pad))
+            assert_allclose(halves, whole, rtol=1e-12, atol=1e-12)
+            split += x_shape[0] * x_shape[1] >= ops.HALVES_MIN_ROWS  # every conv of the model keeps its size
         assert len(given) == split
-        if plan == (16, 32, 64) and blas.CORE in ops.HALVES_CORES:
-            assert split >= 4
+        assert split >= 4
 
-    @pytest.mark.parametrize("x_shape, w_shape", [
-        ((16, 24, 64), (3, 3, 64, 8)),  # 384 rows
-        ((128, 192, 2), (3, 3, 2, 4)),  # a width of 4
-    ], ids=["few-rows", "narrow"])
-    def test_products_whose_halves_differ_in_bits_stay_whole(self, monkeypatch, x_shape, w_shape):
-        # on OpenBLAS's SkylakeX kernels, halves of these two GEMMs were not bitwise
+    def test_a_narrow_conv_splits(self, monkeypatch):
+        # a width of 4 at 24576 rows: on OpenBLAS's SkylakeX kernels these
+        # halves differ in bits from the whole product, but not from each other
         given = helper_halves(monkeypatch)
-        x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[-1])
+        x, w, b = rng.normal(size=(128, 192, 2)), rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
         whole = ops.conv2d(x, w, b, 1, 1).array
-        with ops.row_halves():
-            assert ops.conv2d(x, w, b, 1, 1).array.tobytes() == whole.tobytes()
+        halves = halves_with_and_without_helper(monkeypatch, lambda: ops.conv2d(x, w, b, 1, 1))
+        assert given == [(64, 128)]
+        assert_allclose(halves, whole, rtol=1e-12, atol=1e-12)
+
+    def test_products_of_fewer_rows_and_columns_stay_whole(self, monkeypatch):
+        given = helper_halves(monkeypatch)
+        x, w, b = rng.normal(size=(16, 24, 64)), rng.normal(size=(3, 3, 64, 8)), rng.normal(size=8)  # 384 rows
+        ref, tar, wide = rng.normal(size=(384, 16)), rng.normal(size=(384, 16)), rng.normal(size=(384, 1000))
+        calls = [lambda: ops.conv2d(x, w, b, 1, 1), lambda: ops.softmax_match(ref, tar),
+                 lambda: ops.matmul(ref, tar.T), lambda: ops.matmul(ref.T, wide)]
+        wholes = [call().array for call in calls]
+        for call, whole in zip(calls, wholes):
+            assert halves_with_and_without_helper(monkeypatch, call).tobytes() == whole.tobytes()
         assert given == []
 
+    def test_matmul_takes_row_or_column_halves(self, monkeypatch):
+        given = helper_halves(monkeypatch)
+        tall = rng.normal(size=(1500, 16)), rng.normal(size=(16, 8))  # (1500, 8): row halves
+        wide = rng.normal(size=(8, 16)), rng.normal(size=(16, 1100))  # (8, 1100): column halves
+        for x, y in (tall, wide):
+            halves = halves_with_and_without_helper(monkeypatch, lambda: ops.matmul(x, y))
+            assert_allclose(halves, x @ y, rtol=1e-12, atol=1e-12)
+        assert given == [(750, 1500), (550, 1100)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_halves_run_on_the_caller_or_on_one_helper(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        ran = []
+        matmul = np.matmul
+
+        def recording(*args, **kwargs):
+            ran.append((threading.current_thread().name.split("_")[0], len(kwargs["out"])))
+            return matmul(*args, **kwargs)
+
+        x, w, b = rng.normal(size=(48, 64, 4)), rng.normal(size=(3, 3, 4, 16)), rng.normal(size=16)
+        with ops.row_halves(), monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", recording)
+            ops.conv2d(x, w, b, 1, 1)
+        # 48 map rows of 64 pixels: the upper 24 rows on the caller, the lower 24 on the helper if any
+        assert sorted(ran) == sorted([("MainThread", 24 * 64), ("MainThread" if cpus == 1 else "npmca-rows", 24 * 64)])
+        assert npmca_threads() == []
+
     def test_taped_calls_and_other_threads_take_no_half(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
         given = helper_halves(monkeypatch)
         x, w, b = rng.normal(size=(48, 64, 4)), rng.normal(size=(3, 3, 4, 16)), rng.normal(size=16)
         ref, tar = rng.normal(size=(1200, 4)), rng.normal(size=(1200, 4))
@@ -228,6 +282,7 @@ class TestRowHalves:
             tape = Tape()
             ops.conv2d(tape.watch(x), w, b, 1, 1)
             ops.softmax_match(tape.watch(ref), tar)
+            ops.matmul(tape.watch(ref), tar.T)
             other = threading.Thread(target=lambda: (ops.conv2d(x, w, b, 1, 1), ops.softmax_match(ref, tar)))
             other.start()
             other.join(timeout=60)
@@ -235,19 +290,7 @@ class TestRowHalves:
         assert given == []
         with ops.row_halves():
             ops.conv2d(x, w, b, 1, 1)
-        assert given == ([(24, 48)] if blas.CORE in ops.HALVES_CORES else [])
-
-    def test_other_blas_kernels_split_only_the_softmax(self, monkeypatch):
-        # conv halves were measured bitwise with one OpenBLAS kernel set only
-        monkeypatch.setattr(blas, "CORE", "Haswell")
-        given = helper_halves(monkeypatch)
-        x, w, b = rng.normal(size=(48, 64, 4)), rng.normal(size=(3, 3, 4, 16)), rng.normal(size=16)
-        ref, tar = rng.normal(size=(1200, 4)), rng.normal(size=(1200, 4))
-        with ops.row_halves():
-            ops.conv2d(x, w, b, 1, 1)
-            assert given == []
-            ops.softmax_match(ref, tar)
-        assert given == [(600, 1200)] * 3
+        assert given == [(24, 48)]
 
 
 class TestConv2d:
