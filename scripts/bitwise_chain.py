@@ -10,12 +10,14 @@ The CLI writes inference probabilities only as 8-bit rasters, so one more
 step, ``stack-hashes``, runs the export's ``infer_sequence`` with the
 pretrained checkpoint and prints the sha256 of each float64 (M+1, H, W)
 stack: on every 32x48 clip with default options and with
-``first_frame_only``, and twice on the 128x192 clip at one scale. That
-clip's 1536-pixel feature grid is large enough for ``infer_sequence`` to
-compute its large steps as fixed halves (``ops.row_halves``): once as the
-host allows, with a helper thread where two CPUs are usable, and once
-with ``blas.workers`` held to 1, where the calling thread computes both
-halves. Each step's standard output is kept as ``<step>.stdout``. Every
+``first_frame_only``, and four times on the 128x192 clip at one scale,
+with the pretrained model and with a fixed-seed (4, 6, 8)-plan one, whose
+narrow convs round differently in halves at some sizes. That clip's
+1536-pixel feature grid is large enough for ``infer_sequence`` to compute
+its large steps as fixed halves (``ops.row_halves``): each model runs once
+as the host allows, with a helper thread where two CPUs are usable, and
+once with ``blas.workers`` held to 1, where the calling thread computes
+both halves. Each step's standard output is kept as ``<step>.stdout``. Every
 file of the two output trees is then compared byte for byte; in
 ``run.cfg`` and ``*.stdout`` files the export's path is replaced by a
 placeholder first, since it differs by construction. Within each
@@ -44,7 +46,7 @@ STACK_HASHES = """
 import hashlib, os, sys
 from npmca import blas
 from npmca.datagen import list_sequences, load_sequence
-from npmca.model import init_model_params, load_checkpoint
+from npmca.model import ModelConfig, init_model_params, load_checkpoint
 from npmca.propagation import InferenceOptions, infer_sequence
 
 out = sys.argv[1]
@@ -58,11 +60,13 @@ for data in ("data", "occl"):
             for t, stack in enumerate(infer_sequence(video, video.masks[0], params, options).stacks):
                 print(data, name, label, t, hashlib.sha256(stack.tobytes()).hexdigest())
 video = load_sequence(os.path.join(out, "large"), "seq00000")
-for label in ("one-scale", "one-scale-one-thread"):
-    if label == "one-scale-one-thread":
-        blas.workers = lambda tasks: 1
-    for t, stack in enumerate(infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,))).stacks):
-        print("large seq00000", label, t, hashlib.sha256(stack.tobytes()).hexdigest())
+workers = blas.workers
+small = init_model_params(55, ModelConfig(stage_channels=(4, 6, 8)))
+for plan, model in (("pretrained", params), ("small-plan", small)):
+    for label in ("one-scale", "one-scale-one-thread"):
+        blas.workers = workers if label == "one-scale" else (lambda tasks: 1)
+        for t, stack in enumerate(infer_sequence(video, video.masks[0], model, InferenceOptions(scales=(1.0,))).stacks):
+            print("large seq00000", plan, label, t, hashlib.sha256(stack.tobytes()).hexdigest())
 """
 
 # (step, argv); "{out}" is the chain's output directory inside the export.
@@ -160,17 +164,19 @@ def compare_trees(base_root: str, head_root: str, base_prefix: str, head_prefix:
 
 
 def thread_dependent_frames(out: str) -> tuple[int, list[str]]:
-    """How many frames of the one-scale 128x192 clip ``stack-hashes.stdout``
-    holds, and those whose stack hash differs between the run as the host
-    allows and the one with one thread, or is missing from one of them."""
+    """How many frames of the one-scale 128x192 runs ``stack-hashes.stdout``
+    holds, counted once per model, and those ("<model> <frame>") whose stack
+    hash differs between the run as the host allows and the one with one
+    thread, or is missing from one of them."""
     runs = {"one-scale": {}, "one-scale-one-thread": {}}
     with open(os.path.join(out, "stack-hashes.stdout"), encoding="ascii") as fh:
         for line in fh:
             fields = line.split()
-            if fields[0] == "large" and fields[2] in runs:
-                runs[fields[2]][fields[3]] = fields[4]
-    frames = sorted(runs["one-scale"].keys() | runs["one-scale-one-thread"].keys(), key=int)
-    return len(frames), [t for t in frames if runs["one-scale"].get(t) != runs["one-scale-one-thread"].get(t)]
+            if fields[0] == "large" and fields[3] in runs:
+                runs[fields[3]][f"{fields[2]} {fields[4]}"] = fields[5]
+    frames = sorted(runs["one-scale"].keys() | runs["one-scale-one-thread"].keys(),
+                    key=lambda key: (key.split()[0], int(key.split()[1])))
+    return len(frames), [key for key in frames if runs["one-scale"].get(key) != runs["one-scale-one-thread"].get(key)]
 
 
 def report(result: dict, stream) -> int:
@@ -182,8 +188,8 @@ def report(result: dict, stream) -> int:
     threads = result.get("thread_dependent")
     if threads is not None:
         for side, (count, frames) in threads.items():
-            for t in frames:
-                print(f"{side}: one-scale frame {t} differs with one thread", file=stream)
+            for key in frames:
+                print(f"{side}: one-scale stack {key} differs with one thread", file=stream)
             # no frame at all means the comparison did not run
             bad += len(frames) if count else 1
         counts = ", ".join(f"{side} {count}" for side, (count, _) in threads.items())

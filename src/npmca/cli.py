@@ -28,7 +28,14 @@ from .errors import ConfigError, NumericError
 from .metrics import EvalReport, evaluate_sequence
 from .model import GRID_STRIDE, ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from .netpbm import read_pgm
-from .propagation import InferenceOptions, first_mask_objects, infer_sequence, loop_threads, write_predictions
+from .propagation import (
+    InferenceOptions,
+    check_scales_fit,
+    first_mask_objects,
+    infer_sequence,
+    loop_threads,
+    write_predictions,
+)
 from .training import TrainingDiverged, make_finetune_sampler, make_pretrain_sampler, train_loop
 
 
@@ -256,6 +263,11 @@ def cmd_infer(args) -> int:
             return 2
         first_mask = read_pgm(mask_path)
         first_mask_objects(video, first_mask)
+        try:
+            check_scales_fit(options.scales, first_mask.shape, video.name)
+        except ValueError as exc:
+            print(f"infer: argument --scales: {exc}", file=sys.stderr)
+            return 2
         clips.append((video, first_mask))
     frame_objects, busy, helped = 0, 0.0, 0
     for video, first_mask in clips:
@@ -389,7 +401,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, NumericError) as exc:  # ValueError covers ConfigError, FormatError, ShapeError
         print(f"npmca: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # an input too large to hold, such as infer --scales 1000
+    except MemoryError as exc:  # an input too large to hold, such as gen --resolution 40000x40000
         command = f" {args.command}" if args is not None else ""
         print(f"npmca{command}: out of memory: {str(exc) or 'the input is too large to process'}", file=sys.stderr)
         return 2

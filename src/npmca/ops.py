@@ -16,11 +16,22 @@ Inside ``row_halves``, each untaped product of the thread that entered it
 shape: an output of at least ``HALVES_MIN_ROWS`` rows as two fixed row
 halves, one with fewer rows but at least that many columns as two fixed
 column halves, any other whole. The softmax steps of ``softmax_match``
-follow the same row rule. The halves do not depend on whether a helper
+follow the same row rule, and its column sum runs as two column halves.
+The untaped per-pixel steps run as two fixed row halves of their output
+from a measured size on (``HALVES_MIN_ENTRIES`` entries read,
+``HALVES_MIN_MADDS`` multiply-adds for the interpolation): ``relu``,
+``concat_channels`` and both paths of ``bilinear_resize`` (the 2x2
+window mean and the separable interpolation, by output rows). ``relu``,
+``concat_channels``, the window mean and the column sum compute each
+entry exactly as the whole step does, so their halves are bitwise equal
+to it by construction. A product's halves, the separable
+interpolation's two among them, can round differently, since OpenBLAS
+picks its kernels by size. The halves do not depend on whether a helper
 thread was lent, so no bit depends on the CPU count: a helper computes
 the lower half while the caller computes the upper one; without one,
-the caller computes both in order. Each half is written into the one
-output buffer the caller allocated.
+the caller computes both in order. Each half is written into the output
+the caller allocated. Outside the context, and on a tape, every step
+runs the same body once over all rows.
 """
 
 import threading
@@ -103,8 +114,11 @@ def scale(x, factor: float) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    out = np.maximum(x.array, 0.0)
     tape = resolve_tape(x)
+    out = np.empty_like(x.array)
+    rows, out_rows = (x.array, out) if out.ndim else (x.array.reshape(1), out.reshape(1))  # a scalar is one row
+    _run_halves(lambda lo, hi: np.maximum(rows[lo:hi], 0.0, out=out_rows[lo:hi]), len(out_rows),
+                _map_halves(out.size, HALVES_MIN_ENTRIES, tape))
     if tape is None:
         return Tensor(out)
     mask = x.array > 0.0
@@ -187,8 +201,10 @@ def concat_channels(parts) -> Tensor:
             hw = p.shape[:2]
         elif p.shape[:2] != hw:
             raise ShapeError(f"concat_channels: spatial mismatch {hw} vs {p.shape[:2]}")
-    out = np.concatenate([p.array for p in parts], axis=2)
     tape = resolve_tape(*parts)
+    out = np.empty((*hw, sum(p.shape[2] for p in parts)))
+    _run_halves(lambda lo, hi: np.concatenate([p.array[lo:hi] for p in parts], axis=2, out=out[lo:hi]),
+                len(out), _map_halves(out.size, HALVES_MIN_ENTRIES, tape))
     if tape is None:
         return Tensor(out)
     sizes = [p.shape[2] for p in parts]
@@ -261,6 +277,26 @@ def _run_halves(part, n: int, split: bool) -> None:
     lower.result()
 
 
+# The per-pixel steps split inside row_halves by their size alone too, from
+# the measured size where the helper's hand-off (about 45 us) costs less
+# than the half it takes. A step that reads each entry once or a few times
+# (ReLU, channel concat, 2x2 window mean) splits from HALVES_MIN_ENTRIES
+# entries read, the separable interpolation (two GEMMs) from
+# HALVES_MIN_MADDS multiply-adds. On a 2-vCPU Xeon VM, halves against the
+# whole step read +8 to +18% at 147456 entries (ReLU), -3% at 172032 and
+# -9 to -37% at 196608; the interpolation +46% at 1.6e6 multiply-adds,
+# -2% at 3.1e6 and -32% at 6.3e6.
+HALVES_MIN_ENTRIES = 160 * 1024
+HALVES_MIN_MADDS = 3 << 20
+
+
+def _map_halves(work: int, cut: int, tape) -> bool:
+    """Whether a per-pixel step of ``work`` (entries read or multiply-adds,
+    against its ``cut``) runs as two fixed row halves of its output map:
+    inside ``row_halves``, when not on a ``tape``."""
+    return _halves.open and tape is None and work >= cut
+
+
 def _product(a, b, out: np.ndarray, taped: bool = False, bias=None, step: int = 1) -> np.ndarray:
     """``a @ b`` (plus ``bias`` on every row) written into ``out``, by the
     partition rule inside ``row_halves`` unless ``taped``, else whole.
@@ -321,8 +357,9 @@ def _softmax_columns_inplace(m: np.ndarray, out=None, split: bool = False) -> np
     column's max non-finite, a -inf its column's min.
 
     With ``split``, each row-independent step runs over two row halves
-    (``_run_halves``); the column sum is one pass over all rows, so no
-    bit depends on it.
+    (``_run_halves``) and the column sum over two column halves; numpy
+    sums every column over the rows in order, so a column's sum is the
+    same in either half.
     """
     if out is None:
         out = np.empty_like(m)
@@ -341,7 +378,8 @@ def _softmax_columns_inplace(m: np.ndarray, out=None, split: bool = False) -> np
         np.exp(np.subtract(m[lo:hi], col_max, out=out[lo:hi]), out=out[lo:hi])
 
     _run_halves(shifted_exp, len(m), split)
-    col_sum = out.sum(axis=0)
+    col_sum = np.empty(m.shape[1])
+    _run_halves(lambda lo, hi: out[:, lo:hi].sum(axis=0, out=col_sum[lo:hi]), len(col_sum), split)
 
     def normalised(lo, hi):
         np.divide(out[lo:hi], col_sum, out=out[lo:hi])
@@ -541,21 +579,38 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
-def _apply_separable(arr: np.ndarray, mh: np.ndarray, mw: np.ndarray) -> np.ndarray:
+def _apply_separable(arr: np.ndarray, mh: np.ndarray, mw: np.ndarray, split: bool = False) -> np.ndarray:
+    # mh @ arr @ mw.T over each channel, by output rows (two fixed halves
+    # with ``split``). The output and the second product, the largest
+    # intermediate, are allocated on the calling thread (see _conv_forward)
     h, w, c = arr.shape
-    oh, ow = mh.shape[0], mw.shape[0]
-    tmp = (mh @ arr.reshape(h, w * c)).reshape(oh, w, c)
-    tmp = tmp.transpose(0, 2, 1).reshape(oh * c, w)
-    out = (tmp @ mw.T).reshape(oh, c, ow)
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+    oh, ow = len(mh), len(mw)
+    flat = arr.reshape(h, w * c)
+    out = np.empty((oh, ow, c))
+    wide = np.empty((oh * c, ow))
+
+    def part(lo, hi):
+        tall = (mh[lo:hi] @ flat).reshape(hi - lo, w, c).transpose(0, 2, 1).reshape((hi - lo) * c, w)
+        np.matmul(tall, mw.T, out=wide[lo * c : hi * c])
+        out[lo:hi] = wide[lo * c : hi * c].reshape(hi - lo, c, ow).transpose(0, 2, 1)
+
+    _run_halves(part, oh, split)
+    return out
 
 
-def _halve(arr: np.ndarray) -> np.ndarray:
+def _halve(arr: np.ndarray, split: bool = False) -> np.ndarray:
     # The mean of each 2x2 window, summed in the order the two interpolation
-    # GEMMs sum it, so the result equals theirs bit for bit.
-    rows = arr[0::2] + arr[1::2]
-    out = rows[:, 0::2] + rows[:, 1::2]
-    out *= 0.25
+    # GEMMs sum it, so the result equals theirs bit for bit; by output rows
+    # (two fixed halves with ``split``), each entry summed the same way
+    oh = len(arr) // 2
+    out = np.empty((oh, arr.shape[1] // 2, arr.shape[2]))
+
+    def part(lo, hi):
+        rows = arr[2 * lo : 2 * hi : 2] + arr[2 * lo + 1 : 2 * hi : 2]
+        np.add(rows[:, 0::2], rows[:, 1::2], out=out[lo:hi])
+        out[lo:hi] *= 0.25
+
+    _run_halves(part, oh, split)
     return out
 
 
@@ -580,18 +635,18 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
     out_w = int(out_w)
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize: output size {out_h}x{out_w} must be positive")
-    h, w, _ = x.shape
+    h, w, c = x.shape
+    tape = resolve_tape(x)
     if (h, w) == (2 * out_h, 2 * out_w):
-        out, adjoint = _halve(x.array), _halve_adjoint
+        out, adjoint = _halve(x.array, _map_halves(x.array.size, HALVES_MIN_ENTRIES, tape)), _halve_adjoint
     else:
         mh = _interp_matrix(h, out_h)
         mw = _interp_matrix(w, out_w)
-        out = _apply_separable(x.array, mh, mw)
+        out = _apply_separable(x.array, mh, mw, _map_halves(out_h * w * c * (h + out_w), HALVES_MIN_MADDS, tape))
 
         def adjoint(g):
             return _apply_separable(np.ascontiguousarray(g), mh.T, mw.T)
 
-    tape = resolve_tape(x)
     if tape is None:
         return Tensor(out)
     return tape.record("bilinear_resize", (x,), out, lambda g: (adjoint(g),))

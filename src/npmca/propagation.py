@@ -20,14 +20,20 @@ planes are added in scale order whatever thread made them, so stacks and
 label rasters do not depend on the thread count.
 
 One scale gives the pool nothing to run. From a feature grid of
-``HELPER_MIN_GRID`` pixels on, such a loop runs inside ``ops.row_halves``,
-which computes each pass's large products (conv GEMMs, similarity and
-blend) and similarity softmax as two fixed halves, by a rule that reads
-only their shapes. With two usable threads a helper thread computes the
-lower halves; with one the calling thread computes both. ``loop_threads``
-is that rule. The halves are written into the buffers the whole would
-fill, so the helper needs no extra buffer, and their bits do not depend
-on whether it was lent.
+``HELPER_MIN_GRID`` pixels on, such a clip, its frame-0 reference encodes
+included, runs inside ``ops.row_halves``, which computes each pass's
+large products (conv GEMMs, similarity and blend), similarity softmax
+(column sums included) and per-pixel steps past their measured size
+(ReLUs, channel concats, window means and upsamples) as two fixed
+halves, by a rule that reads only their shapes. The softmax, ReLU,
+concat and window-mean halves are bitwise equal to the whole steps by
+construction. With two usable threads a helper thread computes the
+lower halves; with one the calling thread computes both. ``loop_threads`` is that rule. The halves
+are written into outputs the calling thread allocates, and their bits do
+not depend on whether the helper was lent.
+
+``check_scales_fit`` refuses scales whose similarities could not fit in
+memory together before any pass allocates them.
 """
 
 import hashlib
@@ -35,6 +41,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -155,6 +162,75 @@ def first_mask_objects(video, first_mask) -> list[int]:
     return object_ids
 
 
+def cgroup_memory_limits(cgroup_file: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> list[int]:
+    """The memory limits, in bytes, of this process's cgroup and of each
+    cgroup above it: ``memory.max`` (cgroup v2) or
+    ``memory.limit_in_bytes`` (the v1 memory controller). Empty where
+    none is set or readable."""
+    try:
+        with open(cgroup_file) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return []
+    limits = []
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if not controllers:
+            base, name = root, "memory.max"
+        elif "memory" in controllers.split(","):
+            base, name = os.path.join(root, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            try:
+                with open(os.path.join(base, *parts[:depth], name)) as f:
+                    value = f.read().strip()
+            except OSError:
+                continue
+            if value.isdigit():
+                limits.append(int(value))
+    return limits
+
+
+def memory_limit() -> int | None:
+    """Bytes of memory this process may use: physical memory
+    (``os.sysconf``) or a lower cgroup limit; None where neither is known."""
+    limits = cgroup_memory_limits()
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    return min(limits, default=None)
+
+
+def check_scales_fit(scales: tuple[float, ...], size: tuple[int, int], name: str) -> None:
+    """Raise ValueError, naming the scales and the clip, when the (N, N)
+    float64 similarities of every scale's feature grid on frames of
+    ``size`` (H, W) take more than half of ``memory_limit()``.
+
+    An object's scale passes can run at once, so their similarities are
+    counted together; the other half is left for the rest of the passes
+    and of the machine. ``infer_sequence`` would otherwise fail on an
+    allocation, or push the machine out of memory on its way there."""
+    limit = memory_limit()
+    if limit is None:
+        return
+    total = 0
+    for scale in scales:
+        sh, sw = (_scaled_size(side, scale) for side in size)
+        total += 8 * ((sh // GRID_STRIDE) * (sw // GRID_STRIDE)) ** 2
+    if 2 * total > limit:
+        raise ValueError(
+            f"scales {', '.join(map(str, scales))} give sequence {name} ({size[0]}x{size[1]} frames) "
+            f"similarities of {Decimal(total):.3g} bytes together, more than half of the "
+            f"{Decimal(limit):.3g} bytes of memory this process may use"
+        )
+
+
 def loop_threads(scales: tuple[float, ...], size: tuple[int, int]) -> tuple[int, bool]:
     """The frame loop's threads for frames of ``size`` (H, W): how many
     scale threads run an object's scale passes, and whether the loop runs
@@ -207,18 +283,18 @@ def infer_sequence(
     stacks = [one_hot]
 
     sizes = [(_scaled_size(h, s), _scaled_size(w, s)) for s in options.scales]
-    first_rgb = to_unit_float(frames[0])
-    first_features = []  # [object][scale]
-    if len(frames) > 1:
-        for oid in object_ids:
-            masked = mask_out_background(first_rgb, first_mask, oid)
-            first_features.append([encode_reference_image(params, _resize_rgb(masked, sh, sw)) for sh, sw in sizes])
-
     largest = max(range(len(sizes)), key=options.scales.__getitem__)
     threads, halves = loop_threads(options.scales, (h, w))
+    first_rgb = to_unit_float(frames[0])
     prev_rgb = first_rgb
     with (ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-scale") if threads > 1 else nullcontext() as pool,
           ops.row_halves() if halves else nullcontext()):
+        first_features = []  # [object][scale]
+        if len(frames) > 1:
+            for oid in object_ids:
+                masked = mask_out_background(first_rgb, first_mask, oid)
+                first_features.append([encode_reference_image(params, _resize_rgb(masked, sh, sw)) for sh, sw in sizes])
+
         for t in range(1, len(frames)):
             cur_rgb = to_unit_float(frames[t])
             cur_scaled = [_resize_rgb(cur_rgb, sh, sw) for sh, sw in sizes]

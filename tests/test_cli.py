@@ -353,14 +353,33 @@ class TestInfer:
             assert code == 2, scales
             err = capsys.readouterr().err
             assert "scales must be finite and > 0" in err and "Traceback" not in err, scales
-        # a scale that makes the frame too large to represent; 1e300 fails on the allocation
+        # a scale that makes the frame too large to represent, or its similarity too large to hold
         for scales, message in (("1e308", "scale 1e+308 makes a side of 32 pixels too large to represent"),
-                                ("1e300", "npmca")):
+                                ("1e300", "argument --scales: scales 1e+300 give sequence seq00000")):
             code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
                             "--out", str(tmp_path / "x"), "--scales", scales])
             assert code == 2, scales
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err, scales
+
+    @pytest.mark.parametrize("scale", ["1e300", "1e6"])
+    def test_scales_beyond_memory_are_refused_up_front(self, dataset, trained, tmp_path, monkeypatch,
+                                                                capsys, scale):
+        # at 1e6 a 32x48 clip's first resize alone would take about 8 GB, so
+        # the pass must not start: it fails the test instead of allocating
+        def no_pass(*args, **kwargs):
+            raise AssertionError("infer_sequence ran")
+
+        monkeypatch.setattr(cli, "infer_sequence", no_pass)
+        out = tmp_path / "x"
+        code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                        "--out", str(out), "--scales", f"1.0,{scale}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        value = {"1e300": "1e+300", "1e6": "1000000.0"}[scale]
+        assert err.startswith(f"infer: argument --scales: scales 1.0, {value} give sequence seq00000 (32x48 frames)")
+        assert "bytes of memory this process may use" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_replays_flags_bitwise(self, dataset, trained, tmp_path):
         first, again = str(tmp_path / "first"), str(tmp_path / "again")

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -429,9 +430,14 @@ class TestRowHalves:
                 sys.setswitchinterval(interval)
             # per pass, every product of at least 1024 rows: the 14 convs (both
             # encoders' three stages, four reductions, fusion, two refinements and
-            # the head), the CM blocks' two (1536, 2) mixes, and each match's five
-            # halves (similarity, three softmax steps, blend); no helper on one CPU
-            assert len(given) == (2 * 2 * (14 + 2 + 2 * 5) if count == 2 else 0)
+            # the head), the CM blocks' two (1536, 2) mixes, and each match's six
+            # halves (similarity, four softmax steps, blend); and every per-pixel
+            # step past its cut, which with this (4, 6, 8) plan is only the last
+            # upsample (64x96 to 128x192, 3145728 multiply-adds per channel).
+            # Before the frame loop, each object's first reference takes its
+            # encoder's three convs. No helper on one CPU.
+            per_pass = 14 + 2 + 2 * 6 + 1
+            assert len(given) == (2 * 2 * per_pass + 2 * 3 if count == 2 else 0)
         assert len(results[1].object_ids) == 2
         for a, b in zip(results[1].masks, results[2].masks):
             assert a.tobytes() == b.tobytes()
@@ -463,6 +469,53 @@ class TestRowHalves:
         infer_sequence(video, video.masks[0], params)
         assert given == []
         assert threads == {"MainThread", "npmca-scale"}
+
+
+class TestScalesFit:
+    """Scales whose similarities would not fit in memory together are
+    refused before anything is allocated."""
+
+    def test_the_scales_similarities_are_counted_together_against_half_the_limit(self, monkeypatch):
+        # a 128x192 frame has a 384-pixel grid at scale 0.5 and a 1536-pixel one at 1
+        both = 8 * 384**2 + 8 * 1536**2
+        monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * both)
+        propagation.check_scales_fit((0.5, 1.0), (128, 192), "seq")
+        monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * both - 1)
+        with pytest.raises(ValueError) as exc:
+            propagation.check_scales_fit((0.5, 1.0), (128, 192), "seq")
+        assert str(exc.value) == ("scales 0.5, 1.0 give sequence seq (128x192 frames) similarities of 2.01e+7 bytes "
+                                  "together, more than half of the 4.01e+7 bytes of memory this process may use")
+
+    def test_scales_that_fit_alone_but_not_together_are_refused(self, monkeypatch):
+        monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * 8 * 1536**2)
+        propagation.check_scales_fit((1.0,), (128, 192), "seq")
+        with pytest.raises(ValueError, match=re.escape("scales 1.0, 1.0 give sequence seq")):
+            propagation.check_scales_fit((1.0, 1.0), (128, 192), "seq")
+
+    def test_huge_scales_are_refused_and_unknown_memory_checks_nothing(self, monkeypatch):
+        for scale in (1e6, 1e300):
+            with pytest.raises(ValueError, match=re.escape(f"scales 1.0, {scale} give sequence seq (32x48 frames)")):
+                propagation.check_scales_fit((1.0, scale), (32, 48), "seq")
+        assert propagation.memory_limit() > 2 * 8 * 1536**2
+        monkeypatch.setattr(propagation, "memory_limit", lambda: None)
+        propagation.check_scales_fit((1e300,), (32, 48), "seq")
+
+    def test_cgroup_limits_of_the_group_and_its_ancestors(self, tmp_path, monkeypatch):
+        def write(path, text):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+
+        cgroup = tmp_path / "cgroup"
+        write(cgroup, "4:memory:/x/y\n1:cpu:/x\nnot a cgroup line\n0::/a/b\n")
+        write(tmp_path / "fs/memory/memory.limit_in_bytes", "9223372036854771712\n")
+        write(tmp_path / "fs/memory/x/y/memory.limit_in_bytes", "5000\n")
+        write(tmp_path / "fs/a/memory.max", "1000\n")
+        write(tmp_path / "fs/a/b/memory.max", "max\n")
+        limits = propagation.cgroup_memory_limits(str(cgroup), str(tmp_path / "fs"))
+        assert limits == [9223372036854771712, 5000, 1000]
+        assert propagation.cgroup_memory_limits(str(tmp_path / "none"), str(tmp_path / "fs")) == []
+        monkeypatch.setattr(propagation, "cgroup_memory_limits", lambda: limits)
+        assert propagation.memory_limit() == 1000
 
 
 class TestLoadedClips:

@@ -152,6 +152,46 @@ def halves_with_and_without_helper(monkeypatch, call):
     return results[1]
 
 
+def _map(*shape):
+    return Tensor(rng.normal(size=shape))
+
+
+def _window_mean(a):  # the 2x2 window mean, rows first
+    rows = a[0::2] + a[1::2]
+    return (rows[:, 0::2] + rows[:, 1::2]) * 0.25
+
+
+def _interpolated(a, oh, ow):  # mh @ a @ mw.T over each channel
+    h, w, c = a.shape
+    mh, mw = ops._interp_matrix(h, oh), ops._interp_matrix(w, ow)
+    tall = (mh @ a.reshape(h, w * c)).reshape(oh, w, c).transpose(0, 2, 1).reshape(oh * c, w)
+    return (tall @ mw.T).reshape(oh, c, ow).transpose(0, 2, 1)
+
+
+# the per-pixel steps split inside row_halves: (call, rows of its output map,
+# the step in plain numpy); each reads exactly HALVES_MIN_ENTRIES entries or
+# does exactly HALVES_MIN_MADDS multiply-adds, or is an odd row count above
+# its cut. The interpolation ("upsample", "resize-odd-rows") multiplies its
+# halves apart, so only the others are bitwise with the whole step by
+# construction.
+_relu_in, _odd_relu_in = _map(32, 32, 160), _map(33, 40, 125)
+_mean_in, _odd_mean_in = np.maximum(_map(64, 80, 32).array, 0.0), _map(66, 64, 40)
+_up_in, _resize_in = _map(32, 48, 8), _map(20, 30, 53)
+_cat_in = [_map(31, 40, 40), _map(31, 40, 60), _map(31, 40, 33)]
+PER_PIXEL_STEPS = {
+    "relu": (lambda: ops.relu(_relu_in), 32, lambda: np.maximum(_relu_in.array, 0.0)),
+    "relu-odd-rows": (lambda: ops.relu(_odd_relu_in), 33, lambda: np.maximum(_odd_relu_in.array, 0.0)),
+    "window-mean": (lambda: ops.bilinear_resize(_mean_in, 32, 40), 32, lambda: _window_mean(_mean_in)),
+    "window-mean-odd-rows": (lambda: ops.bilinear_resize(_odd_mean_in, 33, 32), 33,
+                             lambda: _window_mean(_odd_mean_in.array)),
+    "upsample": (lambda: ops.bilinear_resize(_up_in, 64, 96), 64, lambda: _interpolated(_up_in.array, 64, 96)),
+    "resize-odd-rows": (lambda: ops.bilinear_resize(_resize_in, 33, 41), 33,
+                        lambda: _interpolated(_resize_in.array, 33, 41)),
+    "concat-odd-rows": (lambda: ops.concat_channels(_cat_in), 31,
+                        lambda: np.concatenate([p.array for p in _cat_in], axis=2)),
+}
+
+
 def npmca_threads():
     return [t for t in threading.enumerate() if t.name.startswith("npmca")]
 
@@ -159,8 +199,10 @@ def npmca_threads():
 class TestRowHalves:
     """Inside ``ops.row_halves`` untaped products with at least 1024 rows
     are computed as two row halves, those with fewer rows but at least 1024
-    columns as two column halves. The halves are the same with and without
-    the helper thread, so the results are equal bit for bit."""
+    columns as two column halves, and untaped per-pixel steps past their
+    measured cut as two row halves of their output. The halves are the same
+    with and without the helper thread, so the results are equal bit for
+    bit."""
 
     @pytest.mark.parametrize("n", [1024, 1037, 1536, 2047, 2400])
     def test_softmax_match_is_bitwise(self, monkeypatch, n):
@@ -170,10 +212,68 @@ class TestRowHalves:
         whole = ops.softmax_match(ref, tar).array
         halves = halves_with_and_without_helper(monkeypatch, lambda: ops.softmax_match(ref, tar))
         # the similarity's row halves, the column extremes, the shifted exp,
-        # the divide, and the (16, n) blend's column halves
-        assert given == [(n // 2, n)] * 5
+        # the column sums' column halves, the divide, and the (16, n) blend's
+        # column halves
+        assert given == [(n // 2, n)] * 6
         assert_allclose(halves, whole, rtol=1e-12, atol=0)
         assert npmca_threads() == []
+
+    @pytest.mark.parametrize("n", [1024, 1037, 2047])
+    def test_column_sums_in_halves_are_bitwise(self, monkeypatch, n):
+        given = helper_halves(monkeypatch)
+        m = np.random.default_rng(n).normal(size=(n, n)) * 4.0
+        e = np.exp(m - m.max(axis=0))
+        whole = e / e.sum(axis=0)
+        assert ops._softmax_columns_inplace(m).tobytes() == whole.tobytes()
+        halves = halves_with_and_without_helper(monkeypatch, lambda: Tensor(ops._softmax_columns_inplace(m, split=True)))
+        assert halves.tobytes() == whole.tobytes()
+        # per run with the helper: the extremes, the shifted exp, the column sums, the divide
+        assert given == [(n // 2, n)] * 4
+
+    @pytest.mark.parametrize("step", sorted(PER_PIXEL_STEPS))
+    def test_per_pixel_steps_are_bitwise(self, monkeypatch, step):
+        given = helper_halves(monkeypatch)
+        call, rows, plain = PER_PIXEL_STEPS[step]
+        whole = call().array
+        assert whole.tobytes() == np.ascontiguousarray(plain()).tobytes()
+        halves = halves_with_and_without_helper(monkeypatch, call)
+        if step in ("upsample", "resize-odd-rows"):
+            assert_allclose(halves, whole, rtol=1e-12, atol=0)
+        else:
+            assert halves.tobytes() == whole.tobytes()
+        assert given == [(rows // 2, rows)]
+        assert npmca_threads() == []
+
+    def test_per_pixel_steps_take_no_half_below_their_cut_taped_or_on_other_threads(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        given = helper_halves(monkeypatch)
+        below = [  # 163680 entries read, or 3096576 and 3105270 multiply-adds, and a matrix
+            lambda: ops.relu(_map(31, 33, 160)),
+            lambda: ops.concat_channels([_map(31, 33, 100), _map(31, 33, 60)]),
+            lambda: ops.bilinear_resize(_map(62, 66, 40), 31, 33),
+            lambda: ops.bilinear_resize(_map(16, 24, 63), 32, 48),
+            lambda: ops.bilinear_resize(_map(20, 30, 63), 31, 33),
+            lambda: ops.relu(_map(4096, 2)),
+        ]
+
+        def steps(wrap):  # each writes a 32x48 map, split at row 16 when it splits
+            return [lambda: ops.relu(wrap(rng.normal(size=(32, 48, 107)))),
+                    lambda: ops.concat_channels([wrap(rng.normal(size=(32, 48, 100))), _map(32, 48, 7)]),
+                    lambda: ops.bilinear_resize(wrap(rng.normal(size=(64, 96, 27))), 32, 48),
+                    lambda: ops.bilinear_resize(wrap(rng.normal(size=(16, 24, 64))), 32, 48)]
+
+        with ops.row_halves():
+            for call in below + steps(Tape().watch):
+                call()
+            other = threading.Thread(target=lambda: [call() for call in steps(Tensor)])
+            other.start()
+            other.join(timeout=60)
+            assert not other.is_alive()
+        assert given == []
+        with ops.row_halves():
+            for call in steps(Tensor):
+                call()
+        assert given == [(16, 32)] * 4
 
     @pytest.mark.parametrize("half", ["top", "bottom"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
