@@ -76,7 +76,7 @@ class Tape:
     def record(self, op: str, inputs, out_array: np.ndarray, vjp) -> Tensor:
         """Append a node producing ``out_array`` from ``inputs``."""
         out = Tensor(out_array, tape=self, uid=self._fresh_uid())
-        input_ids = tuple(t.uid if isinstance(t, Tensor) and t.tape is self else None for t in inputs)
+        input_ids = tuple([t.uid if isinstance(t, Tensor) and t.tape is self else None for t in inputs])
         self.nodes.append(Node(op, input_ids, out.uid, vjp))
         return out
 
@@ -90,16 +90,15 @@ class Tape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
 
         adjoints: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.array)}
+        pop, get = adjoints.pop, adjoints.get
         for node in reversed(self.nodes):
-            g = adjoints.pop(node.output_id, None)
+            g = pop(node.output_id, None)
             if g is None:
                 continue
-            contributions = node.vjp(g)
-            for uid, contrib in zip(node.input_ids, contributions):
-                if uid is None or contrib is None:
-                    continue
-                held = adjoints.get(uid)
-                adjoints[uid] = contrib if held is None else held + contrib
+            for uid, contrib in zip(node.input_ids, node.vjp(g)):
+                if uid is not None and contrib is not None:
+                    held = get(uid)
+                    adjoints[uid] = contrib if held is None else held + contrib
         # the leaves point back at this tape; dropping them lets reference
         # counting free the tape as soon as its caller lets go of it
         self._param_leaves.clear()

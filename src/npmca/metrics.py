@@ -26,7 +26,7 @@ def iou_loss(pred: Tensor, gt: np.ndarray) -> Tensor:
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction {pred.shape} and mask {gt.shape} differ")
-    if not np.isin(gt, (0.0, 1.0)).all():
+    if not ((gt == 0.0) | (gt == 1.0)).all():
         raise ValueError("ground truth mask must be binary")
     eps = Tensor(np.asarray(1.0))
     inter = ops.total_sum(ops.mul(pred, Tensor(gt)))

@@ -16,6 +16,7 @@ integral output sizes) satisfiable on even image sizes.
 """
 
 import io
+import math
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -330,7 +331,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         name = take(name_len, "name").decode("utf-8")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # Python integers: numpy's int64 product can wrap to a small count
         data = np.frombuffer(take(8 * count, f"data of {name}"), dtype="<f8")
         if name in out:
             raise FormatError(f"{path}: duplicate parameter {name}", offset=pos)

@@ -34,6 +34,7 @@ the caller allocated. Outside the context, and on a tape, every step
 runs the same body once over all rows.
 """
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
@@ -165,8 +166,7 @@ def total_sum(x) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     shape = tuple(int(s) for s in shape)
-    n = int(np.prod(shape)) if shape else 1
-    if n != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}")
     out = x.array.reshape(shape)
     tape = resolve_tape(x)
@@ -454,14 +454,21 @@ def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int)
     # For a C-contiguous (H, W, C) map, the kw taps of one kernel row are kw*C
     # consecutive values, so the patches are an (oh, ow, kh, kw*C) strided
     # view of the map, and one copy lays them out as rows of (kh, kw, C).
+    # The ndarray constructor makes the view without as_strided's Python-level
+    # work, and checks that it stays inside the map.
     _, wp, c = xp.shape
     s = xp.itemsize
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(oh, ow, kh, kw * c),
-        strides=(stride * wp * c * s, stride * c * s, wp * c * s, s),
-        writeable=False,
-    )
+    view = np.ndarray((oh, ow, kh, kw * c), np.float64, xp, 0, (stride * wp * c * s, stride * c * s, wp * c * s, s))
+    view.flags.writeable = False
+    return view
+
+
+def _tap_windows(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    # The (kh, kw, oh, ow, C) writeable view of a C-contiguous (H, W, C) map
+    # whose [i, j] block is the window that kernel tap (i, j) reads
+    _, wp, c = xp.shape
+    s = xp.itemsize
+    return np.ndarray((kh, kw, oh, ow, c), np.float64, xp, 0, (wp * c * s, c * s, stride * wp * c * s, stride * c * s, s))
 
 
 def _conv_forward(xp: np.ndarray, taps: np.ndarray, bias: np.ndarray, kh: int, kw: int, stride: int,
@@ -493,10 +500,11 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
 
     The forward pass is one GEMM over the (OH*OW, kh*kw*Cin) patch matrix,
     split by the partition rule inside ``row_halves``.
-    On a tape, the adjoint keeps the input map, not that kh*kw times wider
-    matrix, and lays the patches out again for the weight adjoint: the same
-    copy gives the same bits, and a training sample's tape holds about a
-    fifth of the memory.
+    The input is padded once. On a tape, the adjoint keeps that padded
+    map, not the input and not the kh*kw times wider patch matrix, and lays
+    the patches out again from it for the weight adjoint: the same copy
+    gives the same bits, and a training sample's tape holds about a fifth
+    of the memory.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -521,37 +529,31 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
 
-    x_arr = x.array
+    xp = _pad_spatial(x.array, pad) if pad else x.array
     taps = w.array.reshape(kh * kw * cin, cout)
-
-    def padded():
-        return _pad_spatial(x_arr, pad) if pad else x_arr
-
     tape = resolve_tape(x, w, b)
-    out = _conv_forward(padded(), taps, b.array, kh, kw, stride, oh, ow, taped=tape is not None)
+    out = _conv_forward(xp, taps, b.array, kh, kw, stride, oh, ow, taped=tape is not None)
     if tape is None:
         return Tensor(out)
 
-    def patches():
-        return _patch_view(padded(), kh, kw, stride, oh, ow).reshape(oh * ow, -1)
-
     # an image fed to the first layer is a constant: its adjoint is never read
     needs_dx = x.tape is tape
-    wtaps = w.array
+    taps_t = w.array.transpose(0, 1, 3, 2)  # taps_t[i, j] is tap (i, j) as a (Cout, Cin) matrix
 
     def vjp(g):
         g2 = g.reshape(oh * ow, cout)
-        dw = (patches().T @ g2).reshape(kh, kw, cin, cout)
+        dw = (_patch_view(xp, kh, kw, stride, oh, ow).reshape(oh * ow, -1).T @ g2).reshape(kh, kw, cin, cout)
         db = g2.sum(axis=0)
         if not needs_dx:
             return (None, dw, db)
-        # one tap at a time, so each product is contiguous and lands in the
-        # padded map with a single strided add
-        dxp = np.zeros((h + 2 * pad, wd + 2 * pad, cin), dtype=np.float64)
+        # one tap at a time, so each product is contiguous and lands in its
+        # window of the padded map with a single strided add
+        dxp = np.zeros(xp.shape)
+        windows = _tap_windows(dxp, kh, kw, stride, oh, ow)
         for i in range(kh):
             for j in range(kw):
-                tap = (g2 @ wtaps[i, j].T).reshape(oh, ow, cin)
-                dxp[i : i + stride * oh : stride, j : j + stride * ow : stride, :] += tap
+                window = windows[i, j]
+                np.add(window, (g2 @ taps_t[i, j]).reshape(oh, ow, cin), out=window)
         dx = dxp[pad : pad + h, pad : pad + wd, :] if pad else dxp
         return (dx, dw, db)
 
@@ -616,8 +618,9 @@ def _halve(arr: np.ndarray, split: bool = False) -> np.ndarray:
 
 def _halve_adjoint(g: np.ndarray) -> np.ndarray:
     oh, ow, c = g.shape
-    quarter = np.broadcast_to((0.25 * g)[:, None, :, None, :], (oh, 2, ow, 2, c))
-    return quarter.reshape(2 * oh, 2 * ow, c)
+    out = np.empty((oh, 2, ow, 2, c))
+    out[...] = (0.25 * g)[:, None, :, None, :]
+    return out.reshape(2 * oh, 2 * ow, c)
 
 
 def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:

@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import ShapeError
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class Tensor:
     """Immutable dense array of 64-bit floats.
@@ -22,10 +24,12 @@ class Tensor:
     __slots__ = ("array", "tape", "uid")
 
     def __init__(self, values, tape=None, uid=None):
-        arr = np.asarray(values, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.array = arr
+        # a C-contiguous float64 ndarray is kept as it is; anything else is
+        # copied into one (np.asarray keeps a 0-d value 0-d, where
+        # np.ascontiguousarray would make it shape (1,))
+        if type(values) is not np.ndarray or values.dtype is not _FLOAT64 or not values.flags.c_contiguous:
+            values = np.asarray(values, dtype=np.float64, order="C")
+        self.array = values
         self.tape = tape
         self.uid = uid
 

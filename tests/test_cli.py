@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from npmca import blas, cli, ops
 from npmca.datagen import generate_sequence, load_sequence, random_scene, write_sequence
 from npmca.metrics import EvalReport, evaluate_sequence
-from npmca.model import ModelConfig, init_model_params, load_checkpoint, save_checkpoint
+from npmca.model import CHECKPOINT_MAGIC, ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from npmca.netpbm import read_pgm, write_pgm
 from npmca.tensor import Tensor
 from npmca.training import TrainingDiverged
@@ -411,6 +412,17 @@ class TestInfer:
             assert run_cli(argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert "decoder/head/b holds non-finite values" in err, argv[0]
+
+    def test_checkpoint_dims_past_int64_are_a_truncation(self, dataset, tmp_path, capsys):
+        # 4194304**3 elements: counted in int64 they wrap to 0 and numpy's
+        # reshape failed without naming the file or the offset
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"big/w"
+                         + struct.pack("<5I", 4, 4194304, 4194304, 4194304, 1) + bytes(16))
+        assert run_cli(["infer", "--data", dataset, "--checkpoint", str(ckpt), "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: truncated while reading data of big/w (byte offset 35)" in err
+        assert "Traceback" not in err and not (tmp_path / "x").exists()
 
     def test_reports_rate_and_scale_threads_on_stderr(self, dataset, trained, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -385,6 +385,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="duplicate"):
             read_checkpoint(path)
 
+    def test_dims_whose_product_wraps_int64_read_as_truncated(self, tmp_path):
+        # 4194304**3 = 2**66 elements: an int64 product wraps to 0 and would
+        # read no data, then fail in numpy's reshape without file or offset
+        record = struct.pack("<I", 5) + b"big/w"
+        record += struct.pack("<5I", 4, 4194304, 4194304, 4194304, 1) + np.asarray([1.0, 2.0]).tobytes()
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + record)
+        data_offset = len(CHECKPOINT_MAGIC) + 4 + 5 + 4 + 16
+        with pytest.raises(FormatError, match="truncated while reading data of big/w") as caught:
+            read_checkpoint(path)
+        assert caught.value.offset == data_offset
+        assert str(path) in str(caught.value)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_value_is_rejected_by_name(self, tmp_path, value):
         path = tmp_path / "model.ckpt"

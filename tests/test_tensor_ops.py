@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -15,7 +16,8 @@ from npmca import blas, ops
 from npmca.autodiff import Tape
 from npmca.errors import NumericError, ShapeError
 from npmca.model import ModelConfig, forward_single_object, init_model_params
-from npmca.tensor import Tensor
+from npmca.tensor import ParamTensor, Tensor
+from npmca.training import Adam
 
 from npmca import oracles
 
@@ -33,6 +35,46 @@ class TestTensor:
     def test_reshape_rejects_wrong_size(self):
         with pytest.raises(ShapeError):
             ops.reshape(Tensor(np.ones((2, 3))), (4, 2))
+
+    @pytest.mark.parametrize("value", [np.asarray(-10.0), np.float64(-10.0), np.asarray(-10.0) - 0.5 * np.asarray(2.0),
+                                       np.float32(-10.0), -10.0, -10],
+                             ids=["0-d array", "numpy scalar", "0-d arithmetic", "float32 scalar", "float", "int"])
+    def test_zero_d_values_stay_zero_d(self, value):
+        t = Tensor(value)
+        assert t.shape == () and t.array.dtype == np.float64 and t.array.flags.c_contiguous
+        assert t.item() == float(value)
+
+    def test_adam_keeps_a_scalar_parameter_zero_d(self):
+        # the update of a 0-d value such as raw_gamma is a numpy scalar, not an array
+        p = ParamTensor("raw_gamma", np.asarray(-10.0))
+        optimizer = Adam({"raw_gamma": p}, lr=0.1)
+        for _ in range(2):
+            p.gradient.array[...] = 1.0
+            optimizer.step()
+            assert p.value.shape == () and type(p.value.array) is np.ndarray
+        assert p.value.item() < -10.0
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a.T,                                  # Fortran order
+        lambda a: a[:, ::2],                            # strided
+        lambda a: a.astype(np.float32),                 # another float width
+        lambda a: a.astype(">f8"),                      # float64 of the other byte order
+        lambda a: (a * 8).astype(np.int64),             # integers
+        lambda a: a.tolist(),                           # not an array at all
+    ], ids=["transposed", "strided", "float32", "big-endian", "int64", "list"])
+    def test_copies_other_input_into_c_contiguous_float64(self, make):
+        base = np.arange(12.0).reshape(3, 4) / 8
+        source = make(base)
+        t = Tensor(source)
+        assert type(t.array) is np.ndarray and t.array.dtype == np.float64 and t.array.dtype.isnative
+        assert t.array.flags.c_contiguous
+        assert_allclose(t.array, np.asarray(source, dtype=np.float64), rtol=0, atol=0)
+        if isinstance(source, np.ndarray):
+            assert not np.shares_memory(t.array, source)
+
+    def test_keeps_c_contiguous_float64_without_a_copy(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        assert Tensor(arr).array is arr
 
 
 class TestMatmul:
@@ -447,6 +489,84 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ops.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))), Tensor(np.zeros(1)), pad=1)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_patch_view_is_a_read_only_window_of_the_padded_map(self, stride):
+        xp = rng.normal(size=(9, 11, 3))
+        kh, kw = 3, 5
+        oh, ow = (9 - kh) // stride + 1, (11 - kw) // stride + 1
+        view = ops._patch_view(xp, kh, kw, stride, oh, ow)
+        s = xp.itemsize
+        expected = np.lib.stride_tricks.as_strided(
+            xp, shape=(oh, ow, kh, kw * 3), strides=(stride * 11 * 3 * s, stride * 3 * s, 11 * 3 * s, s), writeable=False)
+        assert view.shape == expected.shape and view.strides == expected.strides
+        assert np.array_equal(view, expected)
+        for y, x in ((0, 0), (oh - 1, ow - 1)):
+            window = xp[y * stride : y * stride + kh, x * stride : x * stride + kw]
+            assert np.array_equal(view[y, x], window.reshape(kh, kw * 3))
+        assert np.shares_memory(view, xp)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_tap_windows_write_into_the_map(self, stride):
+        xp = np.zeros((9, 11, 2))
+        oh, ow = (9 - 3) // stride + 1, (11 - 3) // stride + 1
+        windows = ops._tap_windows(xp, 3, 3, stride, oh, ow)
+        for i in range(3):
+            for j in range(3):
+                assert np.shares_memory(windows[i, j], xp)
+                np.add(windows[i, j], 1.0, out=windows[i, j])
+        reference = np.zeros_like(xp)
+        for i in range(3):
+            for j in range(3):
+                reference[i : i + stride * oh : stride, j : j + stride * ow : stride] += 1.0
+        assert np.array_equal(xp, reference)
+
+    @pytest.mark.parametrize("stride, pad", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_taped_conv_adjoints_equal_padding_again(self, stride, pad):
+        # the adjoints that reuse the forward's padded map have the bits of
+        # the ones that pad the input again and lay its patches out by hand
+        h, wd, cin, cout, k = 7, 9, 2, 3, 3
+        x_arr, w_arr = rng.normal(size=(h, wd, cin)), rng.normal(size=(k, k, cin, cout))
+        tape = Tape()
+        x, w = tape.watch(x_arr), tape.watch(w_arr)
+        out = ops.conv2d(x, w, Tensor(rng.normal(size=cout)), stride=stride, pad=pad)
+        oh, ow = out.shape[:2]
+        g = rng.normal(size=out.shape)
+        grads = tape.backward(ops.total_sum(ops.mul(out, Tensor(g))))
+
+        xp = np.pad(x_arr, ((pad, pad), (pad, pad), (0, 0)))
+        cols = np.empty((oh * ow, k * k * cin))
+        for y in range(oh):
+            for x0 in range(ow):
+                cols[y * ow + x0] = xp[y * stride : y * stride + k, x0 * stride : x0 * stride + k].ravel()
+        g2 = g.reshape(oh * ow, cout)
+        dxp = np.zeros(xp.shape)
+        for i in range(k):
+            for j in range(k):
+                dxp[i : i + stride * oh : stride, j : j + stride * ow : stride] += (g2 @ w_arr[i, j].T).reshape(oh, ow, cin)
+        assert np.array_equal(grads.of(w), (cols.T @ g2).reshape(w_arr.shape))
+        assert np.array_equal(grads.of(x), dxp[pad : pad + h, pad : pad + wd])
+
+    def test_tape_holds_the_padded_map_not_the_input(self):
+        # what a taped conv leaves alive once its input and output are gone:
+        # the padded map (34 x 42 x 8), neither the input (32 x 40 x 8) too
+        # nor the nine times wider patch matrix
+        w, b = Tensor(rng.normal(size=(3, 3, 8, 4))), Tensor(np.zeros(4))
+        padded_bytes, input_bytes = 34 * 42 * 8 * 8, 32 * 40 * 8 * 8
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x = tape.watch(rng.normal(size=(32, 40, 8)))
+            out = ops.conv2d(x, w, b, stride=1, pad=1)
+            del x, out
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        assert padded_bytes <= held < padded_bytes + input_bytes // 2, held
 
 class TestBilinearResize:
     def test_identity(self):
