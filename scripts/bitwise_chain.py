@@ -10,19 +10,22 @@ The CLI writes inference probabilities only as 8-bit rasters, so one more
 step, ``stack-hashes``, runs the export's ``infer_sequence`` with the
 pretrained checkpoint and prints the sha256 of each float64 (M+1, H, W)
 stack: on every 32x48 clip with default options and with
-``first_frame_only``, and four times on the 128x192 clip at one scale,
+``first_frame_only``, and eight times on the 128x192 clip at one scale,
 with the pretrained model and with a fixed-seed (4, 6, 8)-plan one, whose
-narrow convs round differently in halves at some sizes. That clip's
-1536-pixel feature grid is large enough for ``infer_sequence`` to compute
-its large steps as fixed halves (``ops.row_halves``): each model runs once
-as the host allows, with a helper thread where two CPUs are usable, and
-once with ``blas.workers`` held to 1, where the calling thread computes
-both halves. Each step's standard output is kept as ``<step>.stdout``. Every
+narrow convs round differently in halves and blocks at some sizes, each
+with both objects and with the first object alone. With both, a frame's
+two passes run at once on a pass pool where two CPUs are usable. With
+one, the clip's 1536-pixel feature grid is large enough for
+``infer_sequence`` to compute the pass's large steps as fixed halves
+(``ops.row_halves``), with a helper thread where two CPUs are usable. Each
+of the four runs once as the host allows and once with ``blas.workers``
+held to 1, where the calling thread computes every pass and both
+halves. Each step's standard output is kept as ``<step>.stdout``. Every
 file of the two output trees is then compared byte for byte; in
 ``run.cfg`` and ``*.stdout`` files the export's path is replaced by a
 placeholder first, since it differs by construction. Within each
 revision, the one-thread hashes are also compared with the others, so one
-run shows whether the helper changes a bit. Lists the files that differ
+run shows whether the pool or the helper changes a bit. Lists the files that differ
 or exist on one side only and the frames whose two one-scale hashes
 differ; exits 0 when there are none, 1 when there are some, 2 when a step
 of the chain fails. Standard library only.
@@ -44,6 +47,7 @@ PLACEHOLDER = b"<export>"
 # the stack-hashes step: run with the chain's output directory as argv[1]
 STACK_HASHES = """
 import hashlib, os, sys
+import numpy as np
 from npmca import blas
 from npmca.datagen import list_sequences, load_sequence
 from npmca.model import ModelConfig, init_model_params, load_checkpoint
@@ -60,13 +64,17 @@ for data in ("data", "occl"):
             for t, stack in enumerate(infer_sequence(video, video.masks[0], params, options).stacks):
                 print(data, name, label, t, hashlib.sha256(stack.tobytes()).hexdigest())
 video = load_sequence(os.path.join(out, "large"), "seq00000")
+first = video.masks[0]
+one_object = np.where(first == first[first > 0].min(), first, 0)
 workers = blas.workers
 small = init_model_params(55, ModelConfig(stage_channels=(4, 6, 8)))
 for plan, model in (("pretrained", params), ("small-plan", small)):
-    for label in ("one-scale", "one-scale-one-thread"):
-        blas.workers = workers if label == "one-scale" else (lambda tasks: 1)
-        for t, stack in enumerate(infer_sequence(video, video.masks[0], model, InferenceOptions(scales=(1.0,))).stacks):
-            print("large seq00000", plan, label, t, hashlib.sha256(stack.tobytes()).hexdigest())
+    for objects, first_mask in (("", first), ("-one-object", one_object)):
+        for label in ("one-scale", "one-scale-one-thread"):
+            blas.workers = workers if label == "one-scale" else (lambda tasks: 1)
+            result = infer_sequence(video, first_mask, model, InferenceOptions(scales=(1.0,)))
+            for t, stack in enumerate(result.stacks):
+                print("large seq00000", plan + objects, label, t, hashlib.sha256(stack.tobytes()).hexdigest())
 """
 
 # (step, argv); "{out}" is the chain's output directory inside the export.
@@ -165,7 +173,8 @@ def compare_trees(base_root: str, head_root: str, base_prefix: str, head_prefix:
 
 def thread_dependent_frames(out: str) -> tuple[int, list[str]]:
     """How many frames of the one-scale 128x192 runs ``stack-hashes.stdout``
-    holds, counted once per model, and those ("<model> <frame>") whose stack
+    holds, counted once per model and object set, and those ("<model>
+    <frame>", "<model>-one-object <frame>" for the first object alone) whose stack
     hash differs between the run as the host allows and the one with one
     thread, or is missing from one of them."""
     runs = {"one-scale": {}, "one-scale-one-thread": {}}

@@ -262,16 +262,17 @@ def cmd_infer(args) -> int:
             print(f"infer: {name} has no first-frame mask at {mask_path}", file=sys.stderr)
             return 2
         first_mask = read_pgm(mask_path)
-        first_mask_objects(video, first_mask)
+        objects = len(first_mask_objects(video, first_mask))
         try:
             check_scales_fit(options.scales, first_mask.shape, video.name)
         except ValueError as exc:
             print(f"infer: argument --scales: {exc}", file=sys.stderr)
             return 2
-        clips.append((video, first_mask))
-    frame_objects, busy, helped = 0, 0.0, 0
-    for video, first_mask in clips:
-        threads, halves = loop_threads(options.scales, first_mask.shape)
+        clips.append((video, first_mask, objects))
+    frame_objects, busy, helped, threads = 0, 0.0, 0, 1
+    for video, first_mask, objects in clips:
+        clip_threads, halves = loop_threads(objects, options.scales, first_mask.shape)
+        threads = max(threads, clip_threads)
         helped += halves and ops.lends_helper()
         start = time.perf_counter()
         result = infer_sequence(video, first_mask, params, options)
@@ -279,10 +280,10 @@ def cmd_infer(args) -> int:
         frame_objects += (len(result.masks) - 1) * len(result.object_ids)
         write_predictions(args.out, video.name, result, dump_probs=args.dump_probs)
     _write_run_cfg(args.out, "infer", args)
-    note = "" if blas.PINNED else "; BLAS could not be pinned to one thread, so scale passes ran one at a time"
+    note = "" if blas.PINNED else "; BLAS could not be pinned to one thread, so passes ran one at a time"
     if helped:
         note += f" and a row-half helper thread on {helped} of {len(clips)} clip(s)"
-    print(f"infer: {frame_objects / busy:.1f} frame-objects/s on {threads} scale thread(s){note}", file=sys.stderr)
+    print(f"infer: {frame_objects / busy:.1f} frame-objects/s on {threads} pass thread(s){note}", file=sys.stderr)
     print(f"segmented {len(names)} sequences into {args.out}")
     return 0
 

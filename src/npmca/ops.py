@@ -8,7 +8,7 @@ element broadcast against the other.
 
 ``softmax_match`` is the model's non-local match as one primitive: bit for
 bit the composition of ``matmul``, ``transpose`` and ``softmax_columns``,
-in one N x N buffer and one tape node instead of five.
+in one similarity buffer and one tape node instead of five.
 
 Inside ``row_halves``, each untaped product of the thread that entered it
 (the ``conv2d`` forward GEMM, ``matmul`` and both GEMMs of
@@ -30,8 +30,22 @@ picks its kernels by size. The halves do not depend on whether a helper
 thread was lent, so no bit depends on the CPU count: a helper computes
 the lower half while the caller computes the upper one; without one,
 the caller computes both in order. Each half is written into the output
-the caller allocated. Outside the context, and on a tape, every step
-runs the same body once over all rows.
+the caller allocated. On a tape every step runs the same body once over
+all rows, and so does it outside the context, save the blocks below.
+
+Outside ``row_halves``, an untaped pass bounds its largest temporaries by
+rules that read only shapes, so that passes of several objects can run at
+once in bounded memory. ``conv2d`` lays out a patch matrix of more than
+``CONV_BLOCK_BYTES`` in near-equal blocks of output-map rows, each at most
+that size, in one reused buffer: the same ``_product`` that takes the
+row halves inside the context multiplies the blocks one after another
+into their rows of the output. ``softmax_match`` with a similarity of
+at least ``MATCH_BLOCK_BYTES`` runs in blocks of ``MATCH_BLOCK_COLUMNS``
+target columns: each block's similarity, column softmax and blend, in
+one reused (N, block) buffer. A column's softmax reads only that column, and for the
+model's shapes each block's products equal the whole products' rows or
+columns bit for bit; the blocks are the only way these calls run, so no
+bit depends on the pass count or the CPU count either.
 """
 
 import math
@@ -289,6 +303,25 @@ def _run_halves(part, n: int, split: bool) -> None:
 HALVES_MIN_ENTRIES = 160 * 1024
 HALVES_MIN_MADDS = 3 << 20
 
+# Outside row_halves an untaped pass bounds its two largest temporaries by
+# shape alone, so that two passes can run at once: conv2d lays out a patch
+# matrix of more than CONV_BLOCK_BYTES in row blocks, and softmax_match runs
+# a similarity of at least MATCH_BLOCK_BYTES (from 1024 pixels) in blocks of
+# MATCH_BLOCK_COLUMNS target columns. On a 2-vCPU Xeon VM (one 12 s perfbench
+# run each), infer-128x192-occl with two objects' passes at once read a peak
+# RSS of 144.9 MB with neither block, 142.7 MB with the conv blocks alone,
+# 140.3 MB with the similarity blocks alone and 125.2 MB with both (one pass
+# at a time: 120.8 MB), at 72.3, 71.6, 70.0 and 67.9 ms per frame-object;
+# 1 and 4 MiB conv blocks read 124.2 and 126.1 MB. With the default plan's 16
+# matching channels, 128-, 256- and 512-column blocks of a 600-pixel match
+# differ in bits from the whole match on OpenBLAS's SkylakeX kernels, and 384
+# columns do not, nor at 216, 384, 864, 1024, 1037, 1350, 1536 or 2400
+# pixels. The matches of 3-scale inference at 64x96 (216, 384 and 600
+# pixels) stay whole.
+CONV_BLOCK_BYTES = 2 << 20
+MATCH_BLOCK_BYTES = 8 << 20
+MATCH_BLOCK_COLUMNS = 384
+
 
 def _map_halves(work: int, cut: int, tape) -> bool:
     """Whether a per-pixel step of ``work`` (entries read or multiply-adds,
@@ -297,9 +330,11 @@ def _map_halves(work: int, cut: int, tape) -> bool:
     return _halves.open and tape is None and work >= cut
 
 
-def _product(a, b, out: np.ndarray, taped: bool = False, bias=None, step: int = 1) -> np.ndarray:
+def _product(a, b, out: np.ndarray, taped: bool = False, bias=None, step: int = 1, blocks: int = 1) -> np.ndarray:
     """``a @ b`` (plus ``bias`` on every row) written into ``out``, by the
-    partition rule inside ``row_halves`` unless ``taped``, else whole.
+    partition rule inside ``row_halves`` unless ``taped``, else in
+    ``blocks`` near-equal row blocks one after another (the last one
+    possibly shorter; one block is the whole product).
 
     ``a`` is a matrix, or a function ``a(lo, hi)`` giving the rows of ``a``
     for output rows [lo * step, hi * step): conv2d lays out its patch rows
@@ -307,31 +342,33 @@ def _product(a, b, out: np.ndarray, taped: bool = False, bias=None, step: int = 
     row of its output map (``step`` pixels).
     """
     rows, cols = out.shape
-    split = _halves.open and not taped
-    if not (split and max(rows, cols) >= HALVES_MIN_ROWS):
-        np.matmul(a(0, rows // step) if callable(a) else a, b, out=out)
-        if bias is not None:
-            out += bias
-        return out
     rows_of = a if callable(a) else (lambda lo, hi: a[lo * step : hi * step])
-    if rows >= HALVES_MIN_ROWS:
-        def part(lo, hi):
-            rows_out = out[lo * step : hi * step]
-            np.matmul(rows_of(lo, hi), b, out=rows_out)
-            if bias is not None:
-                rows_out += bias
+    split = _halves.open and not taped and max(rows, cols) >= HALVES_MIN_ROWS
 
+    def part(lo, hi):
+        rows_out = out[lo * step : hi * step]
+        np.matmul(rows_of(lo, hi), b, out=rows_out)
+        if bias is not None:
+            rows_out += bias
+
+    if split and rows >= HALVES_MIN_ROWS:
         _run_halves(part, rows // step, True)
+        return out
+    if not split:
+        n = rows // step
+        size = max(1, -(-n // blocks))
+        for lo in range(0, n, size):
+            part(lo, min(n, lo + size))
         return out
     whole = rows_of(0, rows // step)
 
-    def part(lo, hi):
+    def column_part(lo, hi):
         cols_out = out[:, lo:hi]
         np.matmul(whole, b[:, lo:hi], out=cols_out)
         if bias is not None:
             cols_out += bias[lo:hi]
 
-    _run_halves(part, cols, True)
+    _run_halves(column_part, cols, True)
     return out
 
 
@@ -408,11 +445,30 @@ def softmax_columns(m) -> Tensor:
     return tape.record("softmax_columns", (m,), out, vjp)
 
 
+def _match_blocks(R: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The untaped ``softmax_match`` outside ``row_halves``, by blocks of
+    ``MATCH_BLOCK_COLUMNS`` target columns (the last one possibly
+    shorter): each block's similarity, column softmax and blend, in one
+    reused (N, block) buffer. A column's softmax reads only that column."""
+    n, c = R.shape
+    out = np.empty((c, n))
+    buf = np.empty(n * min(n, MATCH_BLOCK_COLUMNS))
+    for lo in range(0, n, MATCH_BLOCK_COLUMNS):
+        hi = min(n, lo + MATCH_BLOCK_COLUMNS)
+        s = buf[: n * (hi - lo)].reshape(n, hi - lo)
+        np.matmul(R, T[lo:hi].T, out=s)
+        _softmax_columns_inplace(s, out=s)
+        np.matmul(R.T, s, out=out[:, lo:hi])
+    return out
+
+
 def softmax_match(ref, tar) -> Tensor:
     """``ref^T @ softmax_columns(ref @ tar^T)`` for (N, C) pixel rows of one
     grid: column j of the (C, N) result blends the reference rows by their
     similarity to target row j. The (N, N) similarity is one buffer,
-    softmaxed in place; the adjoint closes over it."""
+    softmaxed in place; the adjoint closes over it. Untaped and outside
+    ``row_halves``, a similarity of at least ``MATCH_BLOCK_BYTES`` is made
+    and blended by column blocks instead (``_match_blocks``)."""
     ref = _as_tensor(ref)
     tar = _as_tensor(tar)
     if ref.ndim != 2 or tar.ndim != 2:
@@ -423,6 +479,8 @@ def softmax_match(ref, tar) -> Tensor:
     tape = resolve_tape(ref, tar)
     if tape is None:  # the faster layout at inference, each step by the partition rule inside row_halves
         n, c = R.shape
+        if not _halves.open and 8 * n * n >= MATCH_BLOCK_BYTES:
+            return Tensor(_match_blocks(R, tar.array))
         s = _product(R, tar.array.T, np.empty((n, n)))
         _softmax_columns_inplace(s, out=s, split=_halves.open and n >= HALVES_MIN_ROWS)
         return Tensor(_product(R.T, s, np.empty((c, n))))
@@ -475,19 +533,29 @@ def _conv_forward(xp: np.ndarray, taps: np.ndarray, bias: np.ndarray, kh: int, k
                   oh: int, ow: int, taped: bool) -> np.ndarray:
     """The conv2d forward: one ``_product`` of the patch matrix and the
     taps, whose row halves (inside ``row_halves``) each lay out their own
-    patch rows. The patch matrix and the output are allocated here, on the
+    patch rows. The patch buffer and the output are allocated here, on the
     calling thread: buffers a helper allocated would stay in its own
-    malloc arena and raise peak memory."""
+    malloc arena and raise peak memory. Untaped and outside ``row_halves``,
+    a patch matrix of more than ``CONV_BLOCK_BYTES`` is laid out and
+    multiplied in near-equal blocks of output-map rows, each at most that
+    size (one map row at least), one block at a time in one reused buffer."""
     view = _patch_view(xp, kh, kw, stride, oh, ow)
+    width = len(taps)
     direct = kh == kw == stride == 1  # the patches of a 1x1 kernel at stride 1 are the map as it lies
-    cols = xp.reshape(view.shape) if direct else np.empty(view.shape)
+    blocks = 1
+    if not (direct or taped or _halves.open):
+        blocks = -(-oh // max(1, CONV_BLOCK_BYTES // (8 * ow * width)))
+    rows = -(-oh // blocks)
+    cols = xp.reshape(view.shape) if direct else np.empty((rows, *view.shape[1:]))
 
     def patch_rows(lo, hi):
+        at = lo if blocks == 1 else 0  # a block reuses the buffer from its start
         if not direct:
-            cols[lo:hi] = view[lo:hi]
-        return cols[lo:hi].reshape((hi - lo) * ow, len(taps))
+            cols[at : at + hi - lo] = view[lo:hi]
+        return cols[at : at + hi - lo].reshape((hi - lo) * ow, width)
 
-    out = _product(patch_rows, taps, np.empty((oh * ow, taps.shape[1])), taped=taped, bias=bias, step=ow)
+    out = _product(patch_rows, taps, np.empty((oh * ow, taps.shape[1])), taped=taped, bias=bias, step=ow,
+                   blocks=blocks)
     return out.reshape(oh, ow, -1)
 
 
@@ -499,7 +567,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     must be divisible by the stride, otherwise the call is a shape error.
 
     The forward pass is one GEMM over the (OH*OW, kh*kw*Cin) patch matrix,
-    split by the partition rule inside ``row_halves``.
+    split by the partition rule inside ``row_halves``, and untaped outside
+    it in row blocks of at most ``CONV_BLOCK_BYTES``.
     The input is padded once. On a tape, the adjoint keeps that padded
     map, not the input and not the kh*kw times wider patch matrix, and lays
     the patches out again from it for the weight adjoint: the same copy

@@ -1,7 +1,7 @@
 """Frame-by-frame mask propagation with multi-object soft aggregation.
 
-Frame 0 arrives with ground truth. Every later frame is segmented one
-object at a time: both references (frame 0 and the previous frame, each
+Frame 0 arrives with ground truth. Every later frame is segmented object
+by object: both references (frame 0 and the previous frame, each
 with background zeroed) meet the current frame at several scales, the
 per-scale probabilities are averaged, and the per-object maps are merged
 into one pixelwise distribution through an odds-ratio normalization. The
@@ -12,33 +12,38 @@ Frame 0's references never change, so each object's is encoded once per
 scale, before the frame loop, and those features serve every later frame
 (as the previous reference too under ``first_frame_only``).
 
-An object's scale passes of one frame are independent, so they run at
-once on up to ``blas.workers(S)`` threads: the calling thread takes the
-largest scale, a small pool the others. Objects still run one after
-another, which bounds the passes alive at once to one object's S. The
-planes are added in scale order whatever thread made them, so stacks and
-label rasters do not depend on the thread count.
+A frame's (object, scale) passes are independent, and so are the frame-0
+reference encodes: each set is one task list, largest grid first, that
+the calling thread and a pool of ``blas.workers(M*S) - 1`` threads pull
+from until it is empty. Each object's planes are added in scale order
+whatever thread made them, so stacks and label rasters do not depend on
+the thread count. Two passes alive at once stay in bounded memory, since
+outside ``ops.row_halves`` an untaped pass lays out its conv patches in
+row blocks and its large similarities in column blocks (``ops``).
 
-One scale gives the pool nothing to run. From a feature grid of
-``HELPER_MIN_GRID`` pixels on, such a clip, its frame-0 reference encodes
-included, runs inside ``ops.row_halves``, which computes each pass's
-large products (conv GEMMs, similarity and blend), similarity softmax
-(column sums included) and per-pixel steps past their measured size
-(ReLUs, channel concats, window means and upsamples) as two fixed
-halves, by a rule that reads only their shapes. The softmax, ReLU,
-concat and window-mean halves are bitwise equal to the whole steps by
-construction. With two usable threads a helper thread computes the
-lower halves; with one the calling thread computes both. ``loop_threads`` is that rule. The halves
-are written into outputs the calling thread allocates, and their bits do
-not depend on whether the helper was lent.
+A frame with exactly one pass (one object, one scale) gives the pool
+nothing to run. From a feature grid of ``HELPER_MIN_GRID`` pixels on,
+such a clip, its frame-0 reference encode included, runs inside
+``ops.row_halves``, which computes the pass's large products (conv GEMMs,
+similarity and blend), similarity softmax (column sums included) and
+per-pixel steps past their measured size (ReLUs, channel concats, window
+means and upsamples) as two fixed halves, by a rule that reads only their
+shapes. The softmax, ReLU, concat and window-mean halves are bitwise
+equal to the whole steps by construction. With two usable threads a
+helper thread computes the lower halves; with one the calling thread
+computes both. ``loop_threads`` is that rule. The halves are written into
+outputs the calling thread allocates, and their bits do not depend on
+whether the helper was lent.
 
 ``check_scales_fit`` refuses scales whose similarities could not fit in
 memory together before any pass allocates them.
 """
 
 import hashlib
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal
@@ -212,10 +217,15 @@ def check_scales_fit(scales: tuple[float, ...], size: tuple[int, int], name: str
     float64 similarities of every scale's feature grid on frames of
     ``size`` (H, W) take more than half of ``memory_limit()``.
 
-    An object's scale passes can run at once, so their similarities are
-    counted together; the other half is left for the rest of the passes
-    and of the machine. ``infer_sequence`` would otherwise fail on an
-    allocation, or push the machine out of memory on its way there."""
+    The sum of the scales' whole similarities is a generous bound on what
+    a frame's passes hold of them at once: at most ``blas.workers`` passes
+    run together, whatever their objects, and a match of at least
+    ``ops.MATCH_BLOCK_BYTES`` holds only one (N,
+    ``ops.MATCH_BLOCK_COLUMNS``) column block of its similarity; a
+    smaller one is whole but under that budget. The other half of the
+    memory is left for the rest of the passes and of the machine.
+    ``infer_sequence`` would otherwise fail on an allocation, or push the
+    machine out of memory on its way there."""
     limit = memory_limit()
     if limit is None:
         return
@@ -231,32 +241,58 @@ def check_scales_fit(scales: tuple[float, ...], size: tuple[int, int], name: str
         )
 
 
-def loop_threads(scales: tuple[float, ...], size: tuple[int, int]) -> tuple[int, bool]:
-    """The frame loop's threads for frames of ``size`` (H, W): how many
-    scale threads run an object's scale passes, and whether the loop runs
-    inside ``ops.row_halves``, which lends a helper thread where two CPUs
-    are usable.
+def loop_threads(objects: int, scales: tuple[float, ...], size: tuple[int, int]) -> tuple[int, bool]:
+    """The frame loop's threads for ``objects`` objects on frames of
+    ``size`` (H, W): how many threads run a frame's passes, and whether
+    the loop runs inside ``ops.row_halves``, which lends a helper thread
+    where two CPUs are usable.
 
-    The halves run only where the scale pool has nothing to feed: one
-    scale and a feature grid of at least ``HELPER_MIN_GRID`` pixels. The
-    rule reads shapes only, so the bits do not depend on the CPU count.
+    The halves run only where the pass pool has nothing to feed: exactly
+    one pass a frame (one object, one scale) on a feature grid of at least
+    ``HELPER_MIN_GRID`` pixels. The rule reads shapes only, so the bits do
+    not depend on the CPU count.
     """
-    threads = blas.workers(len(scales))
-    if len(scales) != 1:
+    passes = objects * len(scales)
+    threads = blas.workers(passes)
+    if passes != 1:
         return threads, False
     sh, sw = (_scaled_size(side, scales[0]) for side in size)
     return threads, (sh // GRID_STRIDE) * (sw // GRID_STRIDE) >= HELPER_MIN_GRID
 
 
-def _scale_planes(pool, scale_pass, count: int, largest: int) -> list[np.ndarray]:
-    """``scale_pass(k)`` for every scale k, in scale order. With a pool,
-    the calling thread runs scale ``largest`` while the pool runs the
-    others, in scale order; the caller gets the first exception raised."""
+def _run_passes(pool, threads: int, run, keys: list) -> dict:
+    """``{key: run(*key)}`` for every key. The calling thread and
+    ``threads - 1`` threads of ``pool`` each take the first key no one has
+    taken until none is left. Once a pass raises, no other pass starts;
+    the exception reaches the caller once every running pass has
+    finished, the calling thread's own before a pool thread's."""
     if pool is None:
-        return [scale_pass(k) for k in range(count)]
-    others = {k: pool.submit(scale_pass, k) for k in range(count) if k != largest}
-    own = scale_pass(largest)
-    return [own if k == largest else others[k].result() for k in range(count)]
+        return {key: run(*key) for key in keys}
+    results = {}
+    left = iter(keys)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain():
+        while not failed.is_set():
+            with lock:
+                key = next(left, None)
+            if key is None:
+                return
+            try:
+                results[key] = run(*key)
+            except BaseException:
+                failed.set()
+                raise
+
+    others = [pool.submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        wait(others)
+    for other in others:
+        other.result()
+    return results
 
 
 def infer_sequence(
@@ -283,48 +319,55 @@ def infer_sequence(
     stacks = [one_hot]
 
     sizes = [(_scaled_size(h, s), _scaled_size(w, s)) for s in options.scales]
-    largest = max(range(len(sizes)), key=options.scales.__getitem__)
-    threads, halves = loop_threads(options.scales, (h, w))
+    # a frame's (object, scale) passes, largest grid first; equal grids keep object, then scale order
+    order = sorted(((j, k) for j in range(m) for k in range(len(sizes))), key=lambda jk: -math.prod(sizes[jk[1]]))
+    threads, halves = loop_threads(m, options.scales, (h, w))
     first_rgb = to_unit_float(frames[0])
     prev_rgb = first_rgb
-    with (ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-scale") if threads > 1 else nullcontext() as pool,
+    with (ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-pass") if threads > 1 else nullcontext() as pool,
           ops.row_halves() if halves else nullcontext()):
-        first_features = []  # [object][scale]
+        first_features = {}  # (object, scale) -> FeatureMap
         if len(frames) > 1:
-            for oid in object_ids:
-                masked = mask_out_background(first_rgb, first_mask, oid)
-                first_features.append([encode_reference_image(params, _resize_rgb(masked, sh, sw)) for sh, sw in sizes])
+            first_masked = [mask_out_background(first_rgb, first_mask, oid) for oid in object_ids]
+
+            def first_encode(j, k):
+                return encode_reference_image(params, _resize_rgb(first_masked[j], *sizes[k]))
+
+            first_features = _run_passes(pool, threads, first_encode, order)
 
         for t in range(1, len(frames)):
             cur_rgb = to_unit_float(frames[t])
             cur_scaled = [_resize_rgb(cur_rgb, sh, sw) for sh, sw in sizes]
-            per_object = np.zeros((m, h, w))
+            references = []  # per object: the previous frame masked by it (None: frame 0's features), its guidance
             for j, oid in enumerate(object_ids):
                 if options.first_frame_only:
-                    prev_masked = None  # frame 0 masked by its truth, which first_features[j] encodes
-                    guidance = (masks[0] == oid).astype(np.float64)
+                    references.append((None, (masks[0] == oid).astype(np.float64)))
+                    continue
+                if options.soft_reference_mask:
+                    prev_masked = prev_rgb * stacks[t - 1][j + 1][:, :, None]
                 else:
-                    if options.soft_reference_mask:
-                        prev_masked = prev_rgb * stacks[t - 1][j + 1][:, :, None]
-                    else:
-                        prev_masked = mask_out_background(prev_rgb, masks[t - 1], oid)
-                    guidance = (stacks[t - 1][j + 1] if options.soft_guidance
-                                else (masks[t - 1] == oid).astype(np.float64))
+                    prev_masked = mask_out_background(prev_rgb, masks[t - 1], oid)
+                references.append((prev_masked, stacks[t - 1][j + 1] if options.soft_guidance
+                                   else (masks[t - 1] == oid).astype(np.float64)))
 
-                def scale_pass(k):
-                    """Object j's probability at scale k, resized back to (h, w)."""
-                    sh, sw = sizes[k]
-                    prev = first_features[j][k] if prev_masked is None else _resize_rgb(prev_masked, sh, sw)
-                    prob = forward_single_object(
-                        params, first_features[j][k], prev, cur_scaled[k], _resize_plane(guidance, sh, sw),
-                        disable_cm=options.disable_cm,
-                    ).array
-                    return _resize_plane(prob, h, w)
+            def object_pass(j, k):
+                """Object j's probability at scale k, resized back to (h, w)."""
+                sh, sw = sizes[k]
+                prev_masked, guidance = references[j]
+                prev = first_features[j, k] if prev_masked is None else _resize_rgb(prev_masked, sh, sw)
+                prob = forward_single_object(
+                    params, first_features[j, k], prev, cur_scaled[k], _resize_plane(guidance, sh, sw),
+                    disable_cm=options.disable_cm,
+                ).array
+                return _resize_plane(prob, h, w)
 
+            planes = _run_passes(pool, threads, object_pass, order)
+            per_object = np.zeros((m, h, w))
+            for j in range(m):
                 # added in scale order, so the sums do not depend on the thread count
                 acc = np.zeros((h, w))
-                for plane in _scale_planes(pool, scale_pass, len(sizes), largest):
-                    acc += plane
+                for k in range(len(sizes)):
+                    acc += planes[j, k]
                 per_object[j] = acc / len(sizes)
 
             merged = aggregate_multi_object(per_object)

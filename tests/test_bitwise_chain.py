@@ -1,8 +1,11 @@
-"""``scripts/bitwise_chain.py``'s tree comparison on small trees; no chain runs."""
+"""``scripts/bitwise_chain.py``'s tree comparison on small trees, and its
+``stack-hashes`` step on small clips; no other step of the chain runs."""
 
 import importlib.util
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,3 +128,36 @@ def test_one_scale_hashes_are_compared_with_one_thread(tmp_path):
     assert code == 1 and "head: one-scale stack small-plan 1 differs with one thread" in text
     # a side that printed no one-scale hash compared nothing
     assert reported({"base": (5, []), "head": (0, [])})[0] == 1
+
+
+def test_one_object_hashes_are_compared_on_their_own(tmp_path):
+    one_object = write_stack_hashes(tmp_path / "one", ["a", "b"], ["a", "b"])
+    path = os.path.join(one_object, "stack-hashes.stdout")
+    with open(path, "a") as fh:
+        for label, hashes in (("one-scale", "cd"), ("one-scale-one-thread", "cx")):
+            fh.writelines(f"large seq00000 pretrained-one-object {label} {t} {h}\n" for t, h in enumerate(hashes))
+    assert bitwise_chain.thread_dependent_frames(one_object) == (6, ["pretrained-one-object 1"])
+
+
+def test_the_stack_hashes_step_runs_both_object_sets_with_and_without_threads(tmp_path):
+    from npmca import cli
+    from npmca.model import init_model_params, save_checkpoint
+
+    out = tmp_path / "chain-out"
+    for data, size, preset in (("data", "32x48", "default"), ("occl", "32x48", "occlusion-heavy"),
+                               ("large", "128x192", "occlusion-heavy")):
+        argv = ["gen", "--n", "1", "--out", str(out / data), "--seed", "9", "--resolution", size, "--frames", "3",
+                "--preset", preset]
+        assert cli.main(argv) == 0
+    (out / "pretrain").mkdir()
+    save_checkpoint(out / "pretrain" / "model.ckpt", init_model_params(0))
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(_PATH), "..", "src")}
+    proc = subprocess.run([sys.executable, "-c", bitwise_chain.STACK_HASHES, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (out / "stack-hashes.stdout").write_text(proc.stdout)
+    large = [line.split()[2:5] for line in proc.stdout.splitlines() if line.startswith("large ")]
+    models = ("pretrained", "pretrained-one-object", "small-plan", "small-plan-one-object")
+    assert large == [[model, label, str(t)] for model in models for label in ("one-scale", "one-scale-one-thread")
+                     for t in range(3)]
+    assert bitwise_chain.thread_dependent_frames(str(out)) == (12, [])

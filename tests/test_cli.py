@@ -427,9 +427,9 @@ class TestInfer:
     def test_reports_rate_and_scale_threads_on_stderr(self, dataset, trained, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         trees = []
-        for pinned, line in ((True, "on 2 scale thread(s)"),
-                             (False, "on 1 scale thread(s); BLAS could not be pinned to one thread, "
-                                     "so scale passes ran one at a time")):
+        for pinned, line in ((True, "on 2 pass thread(s)"),
+                             (False, "on 1 pass thread(s); BLAS could not be pinned to one thread, "
+                                     "so passes ran one at a time")):
             monkeypatch.setattr(blas, "PINNED", pinned)
             out = str(tmp_path / f"pinned-{pinned}")
             assert run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
@@ -441,16 +441,21 @@ class TestInfer:
         assert trees[0] == trees[1]
 
     def test_one_scale_names_the_row_half_helper(self, dataset, trained, tmp_path, monkeypatch, capsys):
-        # a 128x192 clip has a 1536-pixel feature grid, a 32x48 clip 96
+        # a 128x192 clip has a 1536-pixel feature grid, a 32x48 clip 96; the
+        # helper serves a frame of one pass, so the large clip keeps one object
         mixed = str(tmp_path / "mixed")
         assert run_cli(["gen", "--n", 1, "--out", mixed, "--seed", 4, "--resolution", "128x192", "--frames", 3,
                         "--preset", "occlusion-heavy"]) == 0
+        first = os.path.join(mixed, "seq00000", "masks", "00000.pgm")
+        mask = read_pgm(first)
+        lowest = mask[mask > 0].min()
+        write_pgm(first, np.where(mask == lowest, lowest, 0).astype(np.uint8))
         shutil.copytree(os.path.join(dataset, "seq00001"), os.path.join(mixed, "small"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         trees = []
-        for pinned, line in ((True, "on 1 scale thread(s) and a row-half helper thread on 1 of 2 clip(s)"),
-                             (False, "on 1 scale thread(s); BLAS could not be pinned to one thread, "
-                                     "so scale passes ran one at a time")):
+        for pinned, line in ((True, "on 1 pass thread(s) and a row-half helper thread on 1 of 2 clip(s)"),
+                             (False, "on 1 pass thread(s); BLAS could not be pinned to one thread, "
+                                     "so passes ran one at a time")):
             monkeypatch.setattr(blas, "PINNED", pinned)
             out = str(tmp_path / f"pinned-{pinned}")
             assert run_cli(["infer", "--data", mixed, "--checkpoint", os.path.join(trained, "model.ckpt"),
@@ -462,7 +467,7 @@ class TestInfer:
         monkeypatch.setattr(blas, "PINNED", True)
         assert run_cli(["infer", "--data", mixed, "--checkpoint", os.path.join(trained, "model.ckpt"),
                         "--out", str(tmp_path / "small"), "--sequence", "small", "--scales", "1.0"]) == 0
-        assert capsys.readouterr().err.endswith(" frame-objects/s on 1 scale thread(s)\n")
+        assert capsys.readouterr().err.endswith(" frame-objects/s on 1 pass thread(s)\n")
 
     def test_missing_first_mask_is_data_error(self, dataset, trained, tmp_path, capsys):
         bare = tmp_path / "bare" / "seq00000"

@@ -27,6 +27,7 @@ from npmca.propagation import (
 )
 from npmca.netpbm import read_pgm, to_unit_float
 from npmca.rng import make_rng
+from npmca.tensor import Tensor
 
 
 class TestMaskOutBackground:
@@ -271,8 +272,9 @@ def npmca_threads():
 
 
 class TestScaleThreads:
-    """An object's scale passes run at once, the largest on the calling
-    thread; stacks and label rasters equal the one-thread loop's bit for bit."""
+    """A frame's passes run at once, taken largest grid first by the
+    calling thread and a pool; stacks and label rasters equal the
+    one-thread loop's bit for bit."""
 
     @pytest.mark.parametrize("case", [
         "default", "repeated-scale", "first-frame-only-hard", "soft-reference", "disable-cm", "single-encoder",
@@ -318,45 +320,73 @@ class TestScaleThreads:
         for a, b in zip(results[1].stacks, results[2].stacks):
             assert a.tobytes() == b.tobytes()
 
-    def test_largest_scale_runs_on_the_calling_thread(self, monkeypatch):
+    def test_passes_start_largest_grid_first(self, monkeypatch):
         video, params = tiny_setup(4, "occlusion-heavy", frames=3)
-        forward = propagation.forward_single_object
-        where = {}
+        forward, encode = propagation.forward_single_object, propagation.encode_reference_image
+        started = []
 
         def recording_forward(params, first, prev, cur_rgb, *args, **kwargs):
-            where.setdefault(cur_rgb.shape[:2], set()).add(threading.current_thread() is threading.main_thread())
+            started.append(("pass", cur_rgb.shape[:2]))
             return forward(params, first, prev, cur_rgb, *args, **kwargs)
 
-        use_threads(monkeypatch, 2)
+        def recording_encode(params, image, *args, **kwargs):
+            started.append(("encode", image.shape[:2]))
+            return encode(params, image, *args, **kwargs)
+
+        use_threads(monkeypatch, 1)
         monkeypatch.setattr(propagation, "forward_single_object", recording_forward)
+        monkeypatch.setattr(propagation, "encode_reference_image", recording_encode)
         infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(0.75, 1.5, 1.0, 1.5)))
-        # the first 1.5 runs on the calling thread, every other scale on the pool
-        assert where == {(24, 36): {False}, (48, 72): {True, False}, (32, 48): {False}}
+        # per task list, the two objects' passes by grid, the larger first
+        order = [(48, 72)] * 4 + [(32, 48)] * 2 + [(24, 36)] * 2
+        assert started == [("encode", size) for size in order] + [("pass", size) for size in order] * 2
+
+    def test_planes_are_added_in_scale_order(self, monkeypatch):
+        # constant planes of 0.1, 0.2 and 0.3 by scale: (0.1 + 0.2) + 0.3 and
+        # (0.3 + 0.2) + 0.1 differ in their last bit
+        video, params = tiny_setup(4, "occlusion-heavy", frames=2)
+        first = np.where(video.masks[0] == 1, 1, 0)
+        scales = (0.5, 1.0, 1.5)
+        value = {(16, 24): 0.1, (32, 48): 0.2, (48, 72): 0.3}
+
+        def constant_forward(params, first_ref, prev, cur_rgb, *args, **kwargs):
+            return Tensor(np.full(cur_rgb.shape[:2], value[cur_rgb.shape[:2]]))
+
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(propagation, "forward_single_object", constant_forward)
+        result = infer_sequence(video, first, params, InferenceOptions(scales=scales))
+        acc = np.zeros((32, 48))
+        for size in sorted(value):
+            acc += propagation._resize_plane(np.full(size, value[size]), 32, 48)
+        want = aggregate_multi_object((acc / 3)[None]).probabilities
+        assert result.stacks[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("failing", ["pool", "calling"])
     def test_a_pass_error_reaches_the_caller_and_no_thread_stays(self, monkeypatch, failing):
         video, params = tiny_setup(4, "occlusion-heavy")
         forward = propagation.forward_single_object
         failed_on = []
-        size = (24, 36) if failing == "pool" else (40, 60)  # scale 0.75 or 1.25 of 32x48
 
-        def failing_forward(params, first, prev, cur_rgb, *args, **kwargs):
-            if cur_rgb.shape[:2] == size:
-                failed_on.append(threading.current_thread() is threading.main_thread())
-                raise RuntimeError("scale pass failed")
-            return forward(params, first, prev, cur_rgb, *args, **kwargs)
+        def failing_forward(*args, **kwargs):
+            calling = threading.current_thread() is threading.main_thread()
+            if calling == (failing == "calling"):
+                failed_on.append(calling)
+                raise RuntimeError("pass failed")
+            return forward(*args, **kwargs)
 
         use_threads(monkeypatch, 2)
         monkeypatch.setattr(propagation, "forward_single_object", failing_forward)
         assert npmca_threads() == []
-        with pytest.raises(RuntimeError, match="scale pass failed"):
+        with pytest.raises(RuntimeError, match="pass failed"):
             infer_sequence(video, video.masks[0], params)
         assert failed_on == [failing == "calling"]
         assert npmca_threads() == []
 
     @pytest.mark.parametrize("scales, threads", [((1.0,), 4), ((0.75, 1.0, 1.25), 1)], ids=["one-scale", "one-thread"])
     def test_no_thread_starts_for_one_scale_or_one_usable_thread(self, monkeypatch, scales, threads):
+        # with one scale, one object: a frame of one pass
         video, params = tiny_setup(4, "occlusion-heavy")
+        first = np.where(video.masks[0] == 1, 1, 0) if len(scales) == 1 else video.masks[0]
         started = []
         start = threading.Thread.start
 
@@ -368,21 +398,108 @@ class TestScaleThreads:
         if threads > 1:
             assert blas.workers(len(scales)) == 1
         monkeypatch.setattr(threading.Thread, "start", recording_start)
-        result = infer_sequence(video, video.masks[0], params, InferenceOptions(scales=scales))
+        result = infer_sequence(video, first, params, InferenceOptions(scales=scales))
         assert len(result.masks) == len(video.frames)
         assert started == []
 
 
-class TestRowHalves:
-    """One scale on a large grid computes each pass's large steps as two
-    halves, the lower ones on a helper thread where two CPUs are usable;
-    stacks and label rasters equal those of one CPU."""
+class TestPassPool:
+    """A frame's passes of several objects at one scale run at once, one
+    per usable thread, outside ``ops.row_halves``."""
 
     @staticmethod
     def large_setup():
         cfg = random_scene(5, "occlusion-heavy", resolution=(128, 192), frames=3)
         video = generate_sequence(cfg, 5, "seq05")
         return video, init_model_params(55, ModelConfig(stage_channels=(4, 6, 8)))
+
+    def test_two_objects_run_on_two_threads_and_take_no_half(self, monkeypatch):
+        video, params = self.large_setup()
+        given = TestRowHalves.helper_halves(monkeypatch)
+        forward = propagation.forward_single_object
+        threads = []
+
+        def recording_forward(*args, **kwargs):
+            threads.append(threading.current_thread().name.split("_")[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "forward_single_object", recording_forward)
+        results = {}
+        for count in (1, 2):
+            use_threads(monkeypatch, count)
+            assert propagation.loop_threads(2, (1.0,), (128, 192)) == (count, False)
+            threads.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results[count] = infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,)))
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(threads) == 2 * (len(video.frames) - 1)
+            assert set(threads) == ({"MainThread", "npmca-pass"} if count == 2 else {"MainThread"})
+        assert given == []
+        assert results[1].object_ids == results[2].object_ids == [1, 2]
+        for a, b in zip(results[1].masks, results[2].masks):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(results[1].stacks, results[2].stacks):
+            assert a.tobytes() == b.tobytes()
+        assert npmca_threads() == []
+
+    def test_every_pass_runs_once_with_more_threads_than_cores(self):
+        keys = [(j, k) for j in range(50) for k in range(4)]
+        ran = []
+
+        def run(j, k):
+            ran.append((j, k))
+            return 4 * j + k
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(5, thread_name_prefix="npmca-pass") as pool:
+                results = propagation._run_passes(pool, 6, run, keys)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {(j, k): 4 * j + k for j, k in keys}
+        assert sorted(ran) == keys
+        assert npmca_threads() == []
+
+    @pytest.mark.parametrize("failing", [(0, "encode"), (1, "encode"), (0, "pass"), (1, "pass")],
+                             ids=["first-object-encode", "second-object-encode", "first-object-pass",
+                                  "second-object-pass"])
+    def test_an_error_in_any_pass_reaches_the_caller_and_no_thread_stays(self, monkeypatch, failing):
+        video, params = tiny_setup(4, "occlusion-heavy")
+        target = video.masks[0] == failing[0] + 1
+        forward, encode = propagation.forward_single_object, propagation.encode_reference_image
+
+        def failing_forward(params, first, prev, cur_rgb, guidance, *args, **kwargs):
+            if failing[1] == "pass" and np.array_equal(guidance > 0.5, target):
+                raise RuntimeError("pass failed")
+            return forward(params, first, prev, cur_rgb, guidance, *args, **kwargs)
+
+        def failing_encode(params, image, *args, **kwargs):
+            if failing[1] == "encode" and np.array_equal(image.any(axis=2), target):
+                raise RuntimeError("pass failed")
+            return encode(params, image, *args, **kwargs)
+
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(propagation, "forward_single_object", failing_forward)
+        monkeypatch.setattr(propagation, "encode_reference_image", failing_encode)
+        with pytest.raises(RuntimeError, match="pass failed"):
+            infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,), soft_guidance=False))
+        assert npmca_threads() == []
+
+
+class TestRowHalves:
+    """One object at one scale on a large grid computes each pass's large
+    steps as two halves, the lower ones on a helper thread where two CPUs
+    are usable; stacks and label rasters equal those of one CPU."""
+
+    @staticmethod
+    def large_setup():
+        video, params = TestPassPool.large_setup()
+        first = video.masks[0]
+        return video, params, np.where(first == 1, 1, 0)  # the first object alone, as perfbench's warm-up
 
     @staticmethod
     def helper_halves(monkeypatch, fail=False):
@@ -404,19 +521,23 @@ class TestRowHalves:
     def test_rule(self, monkeypatch):
         use_threads(monkeypatch, 2)
         # a 128x192 frame has a 32x48 grid of 1536 pixels; 128x128 exactly 1024
-        assert propagation.loop_threads((1.0,), (128, 192)) == (1, True)
-        assert propagation.loop_threads((1.0,), (128, 128)) == (1, True)
-        assert propagation.loop_threads((1.0,), (124, 128)) == (1, False)
-        assert propagation.loop_threads((1.0,), (64, 96)) == (1, False)
-        assert propagation.loop_threads((0.5,), (256, 384)) == (1, True)
-        assert propagation.loop_threads((0.75, 1.0, 1.25), (128, 192)) == (2, False)
+        assert propagation.loop_threads(1, (1.0,), (128, 192)) == (1, True)
+        assert propagation.loop_threads(1, (1.0,), (128, 128)) == (1, True)
+        assert propagation.loop_threads(1, (1.0,), (124, 128)) == (1, False)
+        assert propagation.loop_threads(1, (1.0,), (64, 96)) == (1, False)
+        assert propagation.loop_threads(1, (0.5,), (256, 384)) == (1, True)
+        assert propagation.loop_threads(1, (0.75, 1.0, 1.25), (128, 192)) == (2, False)
+        # more than one pass a frame feeds the pool instead
+        assert propagation.loop_threads(2, (1.0,), (128, 192)) == (2, False)
+        assert propagation.loop_threads(1, (1.0, 1.0), (128, 192)) == (2, False)
         # the rule reads shapes only: one CPU runs the same halves without a helper
         use_threads(monkeypatch, 1)
-        assert propagation.loop_threads((1.0,), (128, 192)) == (1, True)
-        assert propagation.loop_threads((1.0,), (124, 128)) == (1, False)
+        assert propagation.loop_threads(1, (1.0,), (128, 192)) == (1, True)
+        assert propagation.loop_threads(1, (1.0,), (124, 128)) == (1, False)
+        assert propagation.loop_threads(2, (1.0,), (128, 192)) == (1, False)
 
     def test_stacks_and_labels_equal_one_thread(self, monkeypatch):
-        video, params = self.large_setup()
+        video, params, first = self.large_setup()
         given = self.helper_halves(monkeypatch)
         results = {}
         for count in (1, 2):
@@ -425,7 +546,7 @@ class TestRowHalves:
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                results[count] = infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,)))
+                results[count] = infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
             finally:
                 sys.setswitchinterval(interval)
             # per pass, every product of at least 1024 rows: the 14 convs (both
@@ -434,11 +555,11 @@ class TestRowHalves:
             # halves (similarity, four softmax steps, blend); and every per-pixel
             # step past its cut, which with this (4, 6, 8) plan is only the last
             # upsample (64x96 to 128x192, 3145728 multiply-adds per channel).
-            # Before the frame loop, each object's first reference takes its
+            # Before the frame loop, the object's first reference takes its
             # encoder's three convs. No helper on one CPU.
             per_pass = 14 + 2 + 2 * 6 + 1
-            assert len(given) == (2 * 2 * per_pass + 2 * 3 if count == 2 else 0)
-        assert len(results[1].object_ids) == 2
+            assert len(given) == (2 * per_pass + 3 if count == 2 else 0)
+        assert len(results[1].object_ids) == 1
         for a, b in zip(results[1].masks, results[2].masks):
             assert a.tobytes() == b.tobytes()
         for a, b in zip(results[1].stacks, results[2].stacks):
@@ -446,16 +567,16 @@ class TestRowHalves:
         assert npmca_threads() == []
 
     def test_an_error_in_the_helpers_half_reaches_the_caller(self, monkeypatch):
-        video, params = self.large_setup()
+        video, params, first = self.large_setup()
         use_threads(monkeypatch, 2)
         given = self.helper_halves(monkeypatch, fail=True)
         with pytest.raises(RuntimeError, match="row half failed"):
-            infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,)))
+            infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
         assert len(given) == 1
         assert npmca_threads() == []
 
     def test_three_scales_split_nothing(self, monkeypatch):
-        video, params = self.large_setup()
+        video, params, first = self.large_setup()
         use_threads(monkeypatch, 2)
         given = self.helper_halves(monkeypatch)
         forward = propagation.forward_single_object
@@ -466,9 +587,9 @@ class TestRowHalves:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(propagation, "forward_single_object", recording_forward)
-        infer_sequence(video, video.masks[0], params)
+        infer_sequence(video, first, params)
         assert given == []
-        assert threads == {"MainThread", "npmca-scale"}
+        assert threads == {"MainThread", "npmca-pass"}
 
 
 class TestScalesFit:

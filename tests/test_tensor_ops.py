@@ -244,7 +244,15 @@ class TestRowHalves:
     columns as two column halves, and untaped per-pixel steps past their
     measured cut as two row halves of their output. The halves are the same
     with and without the helper thread, so the results are equal bit for
-    bit."""
+    bit.
+
+    The references are the whole products, so outside ``row_halves`` the
+    blocks of ``TestBlocks`` are lifted here."""
+
+    @pytest.fixture(autouse=True)
+    def whole_products(self, monkeypatch):
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 1 << 60)
+        monkeypatch.setattr(ops, "MATCH_BLOCK_BYTES", 1 << 60)
 
     @pytest.mark.parametrize("n", [1024, 1037, 1536, 2047, 2400])
     def test_softmax_match_is_bitwise(self, monkeypatch, n):
@@ -341,24 +349,13 @@ class TestRowHalves:
     @pytest.mark.parametrize("size", [(128, 192), (100, 100), (96, 144)], ids=["128x192", "100x100", "96x144"])
     @pytest.mark.parametrize("plan", [(16, 32, 64), (4, 6, 8)], ids=["default-plan", "small-plan"])
     def test_conv2d_is_bitwise_for_every_shape_the_model_makes(self, monkeypatch, size, plan):
-        shapes = set()
-        conv = ops.conv2d
-
-        def recording(x, w, b, stride=1, pad=0):
-            shapes.add((x.shape, w.shape, stride, pad))
-            return conv(x, w, b, stride, pad)
-
-        r = np.random.default_rng(3)
-        params = init_model_params(3, ModelConfig(stage_channels=plan))
-        images = [r.uniform(size=(*size, 3)) for _ in range(3)]
-        with monkeypatch.context() as patch:
-            patch.setattr(ops, "conv2d", recording)
-            forward_single_object(params, images[0], images[1], images[2], r.uniform(size=size))
+        shapes = model_conv_shapes(size, plan)
         assert len(shapes) >= 8
 
+        r = np.random.default_rng(3)
         given = helper_halves(monkeypatch)
         split = 0
-        for x_shape, w_shape, stride, pad in sorted(shapes):
+        for x_shape, w_shape, stride, pad in shapes:
             x, w, b = r.normal(size=x_shape), r.normal(size=w_shape), r.normal(size=w_shape[-1])
             whole = ops.conv2d(x, w, b, stride, pad).array
             halves = halves_with_and_without_helper(monkeypatch, lambda: ops.conv2d(x, w, b, stride, pad))
@@ -433,6 +430,127 @@ class TestRowHalves:
         with ops.row_halves():
             ops.conv2d(x, w, b, 1, 1)
         assert given == [(24, 48)]
+
+
+def model_conv_shapes(size, plan=(16, 32, 64)):
+    """(input shape, kernel shape, stride, pad) of every conv2d one
+    untaped pass of the model makes on (H, W) frames."""
+    shapes = set()
+    conv = ops.conv2d
+
+    def recording(x, w, b, stride=1, pad=0):
+        shapes.add((x.shape, w.shape, stride, pad))
+        return conv(x, w, b, stride, pad)
+
+    r = np.random.default_rng(3)
+    params = init_model_params(3, ModelConfig(stage_channels=plan))
+    images = [r.uniform(size=(*size, 3)) for _ in range(3)]
+    ops.conv2d = recording
+    try:
+        forward_single_object(params, images[0], images[1], images[2], r.uniform(size=size))
+    finally:
+        ops.conv2d = conv
+    return sorted(shapes)
+
+
+def matmul_rows(monkeypatch):
+    """The (rows, columns) of every output ``np.matmul`` writes into."""
+    outs = []
+    matmul = np.matmul
+
+    def recording(*args, **kwargs):
+        outs.append(kwargs["out"].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return outs
+
+
+class TestBlocks:
+    """Outside ``row_halves``, an untaped conv2d lays out a large patch
+    matrix in row blocks and an untaped softmax_match runs a large
+    similarity in column blocks: equal to the whole calls bit for bit,
+    and holding one block at a time."""
+
+    @pytest.mark.parametrize("size", [(48, 72), (64, 96), (80, 120), (128, 192)],
+                             ids=["48x72", "64x96", "80x120", "128x192"])
+    def test_conv2d_blocks_equal_the_whole_product(self, monkeypatch, size):
+        # the three workloads' frames and criterion 8's three inference scales
+        r = np.random.default_rng(5)
+        blocked, short = 0, 0
+        for x_shape, w_shape, stride, pad in model_conv_shapes(size):
+            x, w, b = r.normal(size=x_shape), r.normal(size=w_shape), r.normal(size=w_shape[-1])
+            with monkeypatch.context() as patch:
+                patch.setattr(ops, "CONV_BLOCK_BYTES", 1 << 60)
+                whole = ops.conv2d(x, w, b, stride, pad).array
+            with monkeypatch.context() as patch:
+                outs = matmul_rows(patch)
+                got = ops.conv2d(x, w, b, stride, pad).array
+            assert got.tobytes() == whole.tobytes(), (x_shape, w_shape)
+            width = w_shape[0] * w_shape[1] * w_shape[2]
+            if w_shape[0] == 1 or 8 * x_shape[0] * x_shape[1] * width <= ops.CONV_BLOCK_BYTES:
+                assert outs == [(x_shape[0] * x_shape[1], w_shape[-1])]
+                continue
+            rows = [n for n, _ in outs]
+            assert len(rows) > 1 and sum(rows) == x_shape[0] * x_shape[1]
+            assert max(rows) * width * 8 <= ops.CONV_BLOCK_BYTES
+            assert set(rows[:-1]) == {rows[0]} and rows[-1] <= rows[0]
+            blocked += 1
+            short += rows[-1] < rows[0]
+        # convs blocked, and those with a short last block (at 80x120, refine2's
+        # 40x60 map: blocks of 14, 14 and 12 map rows)
+        assert (blocked, short) == {(48, 72): (0, 0), (64, 96): (1, 0), (80, 120): (4, 1), (128, 192): (8, 2)}[size]
+
+    @pytest.mark.parametrize("n", [216, 384, 600, 1024, 1536])
+    def test_softmax_match_blocks_from_the_budget_and_equal_the_whole_match(self, monkeypatch, n):
+        r = np.random.default_rng(n)
+        ref, tar = r.normal(size=(n, 16)), r.normal(size=(n, 16))
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "MATCH_BLOCK_BYTES", 1 << 60)
+            whole = ops.softmax_match(ref, tar).array
+        with monkeypatch.context() as patch:
+            outs = matmul_rows(patch)
+            got = ops.softmax_match(ref, tar).array
+        assert got.tobytes() == whole.tobytes()
+        if n < 1024:  # a similarity under MATCH_BLOCK_BYTES stays whole
+            assert outs == [(n, n), (16, n)]
+        else:
+            widths = [min(384, n - lo) for lo in range(0, n, ops.MATCH_BLOCK_COLUMNS)]
+            assert outs == [shape for w in widths for shape in ((n, w), (16, w))]
+
+    def test_blocks_run_only_untaped_and_outside_row_halves(self, monkeypatch):
+        x, w, b = rng.normal(size=(64, 96, 32)), rng.normal(size=(3, 3, 32, 16)), rng.normal(size=16)
+        ref, tar = rng.normal(size=(1536, 16)), rng.normal(size=(1536, 16))
+        with monkeypatch.context() as patch:
+            outs = matmul_rows(patch)
+            tape = Tape()
+            ops.conv2d(tape.watch(x), w, b, 1, 1)
+            ops.softmax_match(tape.watch(ref), tar)
+            use_cpus(patch, 1)
+            with ops.row_halves():
+                ops.conv2d(x, w, b, 1, 1)
+                ops.softmax_match(ref, tar)
+        # the taped conv multiplies its whole patch matrix (the taped match
+        # takes ``@``); inside row_halves, each product takes its two halves
+        assert outs == [(6144, 16)] + [(3072, 16)] * 2 + [(768, 1536)] * 2 + [(16, 768)] * 2
+
+    def test_a_blocked_call_holds_its_output_and_one_block(self):
+        x, w, b = rng.normal(size=(64, 96, 32)), rng.normal(size=(3, 3, 32, 16)), rng.normal(size=16)
+        ref, tar = rng.normal(size=(1536, 16)), rng.normal(size=(1536, 16))
+        padded, slack = 66 * 98 * 32 * 8, 128 << 10  # the slack: numpy's reduction buffers and small vectors
+        calls = [(lambda: ops.conv2d(x, w, b, 1, 1), 64 * 96 * 16 * 8 + padded + ops.CONV_BLOCK_BYTES),
+                 (lambda: ops.softmax_match(ref, tar), 16 * 1536 * 8 + 1536 * ops.MATCH_BLOCK_COLUMNS * 8)]
+        for call, bound in calls:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = call()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert out.array.nbytes + 8 * 1536 <= peak <= bound + slack, (peak, bound)
+        # the whole patch matrix and the whole similarity
+        assert 64 * 96 * 288 * 8 > 3 * ops.CONV_BLOCK_BYTES and 8 * 1536**2 > 3 * ops.MATCH_BLOCK_COLUMNS * 1536 * 8
 
 
 class TestConv2d:
