@@ -12,20 +12,19 @@ pretrained checkpoint and prints the sha256 of each float64 (M+1, H, W)
 stack: on every 32x48 clip with default options and with
 ``first_frame_only``, and eight times on the 128x192 clip at one scale,
 with the pretrained model and with a fixed-seed (4, 6, 8)-plan one, whose
-narrow convs round differently in halves and blocks at some sizes, each
+narrow convs round differently in blocks and whole at some sizes, each
 with both objects and with the first object alone. With both, a frame's
 two passes run at once on a pass pool where two CPUs are usable. With
-one, the clip's 1536-pixel feature grid is large enough for
-``infer_sequence`` to compute the pass's large steps as fixed halves
-(``ops.row_halves``), with a helper thread where two CPUs are usable. Each
-of the four runs once as the host allows and once with ``blas.workers``
-held to 1, where the calling thread computes every pass and both
-halves. Each step's standard output is kept as ``<step>.stdout``. Every
-file of the two output trees is then compared byte for byte; in
-``run.cfg`` and ``*.stdout`` files the export's path is replaced by a
-placeholder first, since it differs by construction. Within each
-revision, the one-thread hashes are also compared with the others, so one
-run shows whether the pool or the helper changes a bit. Lists the files that differ
+one, the frame's single pass runs its two branch pairs (the two encodes,
+then the two matches) at once on that pool. Each of the four runs once
+as the host allows and once with ``blas.workers`` held to 1, where the
+calling thread computes every pass and every pair in order. Each step's
+standard output is kept as ``<step>.stdout``. Every file of the two
+output trees is then compared byte for byte; in ``run.cfg`` and
+``*.stdout`` files the export's path is replaced by a placeholder first,
+since it differs by construction. Within each revision, the one-thread
+hashes are also compared with the others, so one run shows whether the
+pass pool or the pair threads change a bit. Lists the files that differ
 or exist on one side only and the frames whose two one-scale hashes
 differ; exits 0 when there are none, 1 when there are some, 2 when a step
 of the chain fails. Standard library only.

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import blas, ops
+from . import blas
 from .datagen import (
     format_scene_cfg,
     generate_sequence,
@@ -264,16 +264,14 @@ def cmd_infer(args) -> int:
         first_mask = read_pgm(mask_path)
         objects = len(first_mask_objects(video, first_mask))
         try:
-            check_scales_fit(options.scales, first_mask.shape, video.name)
+            check_scales_fit(objects, options.scales, first_mask.shape, video.name)
         except ValueError as exc:
             print(f"infer: argument --scales: {exc}", file=sys.stderr)
             return 2
         clips.append((video, first_mask, objects))
-    frame_objects, busy, helped, threads = 0, 0.0, 0, 1
-    for video, first_mask, objects in clips:
-        clip_threads, halves = loop_threads(objects, options.scales, first_mask.shape)
-        threads = max(threads, clip_threads)
-        helped += halves and ops.lends_helper()
+    frame_objects, busy = 0, 0.0
+    threads = max(loop_threads(objects, options.scales) for _, _, objects in clips)
+    for video, first_mask, _ in clips:
         start = time.perf_counter()
         result = infer_sequence(video, first_mask, params, options)
         busy += time.perf_counter() - start
@@ -281,8 +279,6 @@ def cmd_infer(args) -> int:
         write_predictions(args.out, video.name, result, dump_probs=args.dump_probs)
     _write_run_cfg(args.out, "infer", args)
     note = "" if blas.PINNED else "; BLAS could not be pinned to one thread, so passes ran one at a time"
-    if helped:
-        note += f" and a row-half helper thread on {helped} of {len(clips)} clip(s)"
     print(f"infer: {frame_objects / busy:.1f} frame-objects/s on {threads} pass thread(s){note}", file=sys.stderr)
     print(f"segmented {len(names)} sequences into {args.out}")
     return 0

@@ -14,29 +14,25 @@ scale, before the frame loop, and those features serve every later frame
 
 A frame's (object, scale) passes are independent, and so are the frame-0
 reference encodes: each set is one task list, largest grid first, that
-the calling thread and a pool of ``blas.workers(M*S) - 1`` threads pull
-from until it is empty. Each object's planes are added in scale order
+the calling thread and a pool of ``loop_threads - 1`` threads pull from
+until it is empty. Each object's planes are added in scale order
 whatever thread made them, so stacks and label rasters do not depend on
 the thread count. Two passes alive at once stay in bounded memory, since
-outside ``ops.row_halves`` an untaped pass lays out its conv patches in
-row blocks and its large similarities in column blocks (``ops``).
+an untaped pass lays out its conv patches in row blocks and its large
+similarities in column blocks (``ops``).
 
-A frame with exactly one pass (one object, one scale) gives the pool
-nothing to run. From a feature grid of ``HELPER_MIN_GRID`` pixels on,
-such a clip, its frame-0 reference encode included, runs inside
-``ops.row_halves``, which computes the pass's large products (conv GEMMs,
-similarity and blend), similarity softmax (column sums included) and
-per-pixel steps past their measured size (ReLUs, channel concats, window
-means and upsamples) as two fixed halves, by a rule that reads only their
-shapes. The softmax, ReLU, concat and window-mean halves are bitwise
-equal to the whole steps by construction. With two usable threads a
-helper thread computes the lower halves; with one the calling thread
-computes both. ``loop_threads`` is that rule. The halves are written into
-outputs the calling thread allocates, and their bits do not depend on
-whether the helper was lent.
+A frame with exactly one pass (one object, one scale) gives the list
+nothing to share, so it gets two threads (``loop_threads``): the pass
+runs on the calling thread and hands the pool its two pairs of
+independent branch steps (``forward_single_object``'s ``run_pair``),
+the previous reference's encode beside the target's, then the first
+reference's match beside the previous one's, each pair's second step on
+the pool thread. The CM blocks, fusion, decoding and the frame-0 encode
+run on the calling thread. Each step runs the same ops whatever thread
+takes it, so here too no bit depends on the thread count.
 
-``check_scales_fit`` refuses scales whose similarities could not fit in
-memory together before any pass allocates them.
+``check_scales_fit`` refuses scales whose matches could not fit in
+memory at once before any pass allocates them.
 """
 
 import hashlib
@@ -52,22 +48,12 @@ import numpy as np
 
 from . import blas, ops
 from .errors import ShapeError
-from .model import GRID_STRIDE, ModelParams, encode_reference_image, forward_single_object
+from .model import GRID_STRIDE, ModelParams, encode_reference_image, forward_single_object, in_order
 from .netpbm import probability_to_byte, to_unit_float, write_pgm
 from .tensor import Tensor
 
 CLAMP_EPS = 1e-7
 DEFAULT_SCALES = (0.75, 1.0, 1.25)
-# The feature grid (pixels) from which a one-scale frame loop runs inside
-# ops.row_halves: a speed cut only, since the bits do not depend on it. Timed
-# with forward_single_object passes alone (median of 3 rounds of 23 passes) on
-# a 2-vCPU Xeon with OpenBLAS's SkylakeX kernels, a pass inside the context
-# with a helper took 24% less time than one outside it at 1024 pixels and 30%
-# less at 1536, where the matching products split too; 3% less at 864, the
-# same at 768, and 3% more at 640 and 7-10% more at 384, where only the convs
-# split. No benchmark workload runs one scale below it, so only the side above
-# it is measured end to end.
-HELPER_MIN_GRID = 1024
 
 
 def mask_out_background(rgb: np.ndarray, mask: np.ndarray, object_id: int) -> np.ndarray:
@@ -212,52 +198,58 @@ def memory_limit() -> int | None:
     return min(limits, default=None)
 
 
-def check_scales_fit(scales: tuple[float, ...], size: tuple[int, int], name: str) -> None:
-    """Raise ValueError, naming the scales and the clip, when the (N, N)
-    float64 similarities of every scale's feature grid on frames of
-    ``size`` (H, W) take more than half of ``memory_limit()``.
+def check_scales_fit(objects: int, scales: tuple[float, ...], size: tuple[int, int], name: str) -> None:
+    """Raise ValueError, naming the scales and the clip, when the matches
+    that a frame of ``objects`` objects on frames of ``size`` (H, W) may
+    hold at once take more than half of ``memory_limit()``.
 
-    The sum of the scales' whole similarities is a generous bound on what
-    a frame's passes hold of them at once: at most ``blas.workers`` passes
-    run together, whatever their objects, and a match of at least
-    ``ops.MATCH_BLOCK_BYTES`` holds only one (N,
-    ``ops.MATCH_BLOCK_COLUMNS``) column block of its similarity; a
-    smaller one is whole but under that budget. The other half of the
-    memory is left for the rest of the passes and of the machine.
-    ``infer_sequence`` would otherwise fail on an allocation, or push the
-    machine out of memory on its way there."""
+    At most ``loop_threads`` matches are alive together. A match holds its
+    whole (N, N) float64 similarity when that is under
+    ``ops.MATCH_BLOCK_BYTES``, else one (N, ``ops.MATCH_BLOCK_COLUMNS``)
+    column block; the count takes the largest scale's for every thread.
+    The other half of the memory is left for the rest of the passes and of
+    the machine. ``infer_sequence`` would otherwise fail on an allocation,
+    or push the machine out of memory on its way there."""
     limit = memory_limit()
     if limit is None:
         return
-    total = 0
+    largest = 0
     for scale in scales:
         sh, sw = (_scaled_size(side, scale) for side in size)
-        total += 8 * ((sh // GRID_STRIDE) * (sw // GRID_STRIDE)) ** 2
+        n = (sh // GRID_STRIDE) * (sw // GRID_STRIDE)
+        held = 8 * n * n
+        largest = max(largest, held if held < ops.MATCH_BLOCK_BYTES else 8 * n * min(n, ops.MATCH_BLOCK_COLUMNS))
+    total = loop_threads(objects, scales) * largest
     if 2 * total > limit:
         raise ValueError(
             f"scales {', '.join(map(str, scales))} give sequence {name} ({size[0]}x{size[1]} frames) "
-            f"similarities of {Decimal(total):.3g} bytes together, more than half of the "
+            f"matches holding {Decimal(total):.3g} bytes at once, more than half of the "
             f"{Decimal(limit):.3g} bytes of memory this process may use"
         )
 
 
-def loop_threads(objects: int, scales: tuple[float, ...], size: tuple[int, int]) -> tuple[int, bool]:
-    """The frame loop's threads for ``objects`` objects on frames of
-    ``size`` (H, W): how many threads run a frame's passes, and whether
-    the loop runs inside ``ops.row_halves``, which lends a helper thread
-    where two CPUs are usable.
+def loop_threads(objects: int, scales: tuple[float, ...]) -> int:
+    """The threads that run a frame's passes for ``objects`` objects at
+    ``scales``: one per pass, and two for a frame of one pass, whose
+    branch pairs then run at once; at most ``blas.workers`` allows."""
+    return blas.workers(max(2, objects * len(scales)))
 
-    The halves run only where the pass pool has nothing to feed: exactly
-    one pass a frame (one object, one scale) on a feature grid of at least
-    ``HELPER_MIN_GRID`` pixels. The rule reads shapes only, so the bits do
-    not depend on the CPU count.
-    """
-    passes = objects * len(scales)
-    threads = blas.workers(passes)
-    if passes != 1:
-        return threads, False
-    sh, sw = (_scaled_size(side, scales[0]) for side in size)
-    return threads, (sh // GRID_STRIDE) * (sw // GRID_STRIDE) >= HELPER_MIN_GRID
+
+def _pair_runner(pool):
+    """A ``run_pair`` for ``forward_single_object``: the first step on the
+    calling thread, the second on ``pool``. Once one raises, the other
+    still finishes; the calling thread's error, else the pool's, reaches
+    the caller."""
+
+    def run_pair(first, second):
+        other = pool.submit(second)
+        try:
+            done = first()
+        finally:
+            wait((other,))
+        return done, other.result()
+
+    return run_pair
 
 
 def _run_passes(pool, threads: int, run, keys: list) -> dict:
@@ -321,11 +313,13 @@ def infer_sequence(
     sizes = [(_scaled_size(h, s), _scaled_size(w, s)) for s in options.scales]
     # a frame's (object, scale) passes, largest grid first; equal grids keep object, then scale order
     order = sorted(((j, k) for j in range(m) for k in range(len(sizes))), key=lambda jk: -math.prod(sizes[jk[1]]))
-    threads, halves = loop_threads(m, options.scales, (h, w))
+    threads = loop_threads(m, options.scales)
     first_rgb = to_unit_float(frames[0])
     prev_rgb = first_rgb
-    with (ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-pass") if threads > 1 else nullcontext() as pool,
-          ops.row_halves() if halves else nullcontext()):
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="npmca-pass") if threads > 1 else nullcontext() as pool:
+        # a lone pass keeps the calling thread and lends the pool its branch pairs instead
+        lone = len(order) == 1 and pool is not None
+        pass_pool, run_pair = (None, _pair_runner(pool)) if lone else (pool, in_order)
         first_features = {}  # (object, scale) -> FeatureMap
         if len(frames) > 1:
             first_masked = [mask_out_background(first_rgb, first_mask, oid) for oid in object_ids]
@@ -333,7 +327,7 @@ def infer_sequence(
             def first_encode(j, k):
                 return encode_reference_image(params, _resize_rgb(first_masked[j], *sizes[k]))
 
-            first_features = _run_passes(pool, threads, first_encode, order)
+            first_features = _run_passes(pass_pool, threads, first_encode, order)
 
         for t in range(1, len(frames)):
             cur_rgb = to_unit_float(frames[t])
@@ -357,11 +351,11 @@ def infer_sequence(
                 prev = first_features[j, k] if prev_masked is None else _resize_rgb(prev_masked, sh, sw)
                 prob = forward_single_object(
                     params, first_features[j, k], prev, cur_scaled[k], _resize_plane(guidance, sh, sw),
-                    disable_cm=options.disable_cm,
+                    disable_cm=options.disable_cm, run_pair=run_pair,
                 ).array
                 return _resize_plane(prob, h, w)
 
-            planes = _run_passes(pool, threads, object_pass, order)
+            planes = _run_passes(pass_pool, threads, object_pass, order)
             per_object = np.zeros((m, h, w))
             for j in range(m):
                 # added in scale order, so the sums do not depend on the thread count

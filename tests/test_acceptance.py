@@ -99,9 +99,14 @@ def pipeline(tmp_path_factory):
     train_data = str(root / "train_data")
     eval_data = str(root / "eval_data")
     started = time.monotonic()
+    stages = {}  # seconds of each step of the chain
+
+    def stage_done(name):
+        stages[name] = time.monotonic() - started - sum(stages.values())
 
     assert run_cli(["gen", "--n", 200, "--out", train_data, "--seed", 100]) == 0
     assert run_cli(["gen", "--n", 20, "--out", eval_data, "--seed", 200]) == 0
+    stage_done("gen")
 
     init_ckpt = str(root / "init.ckpt")
     save_checkpoint(init_ckpt, init_model_params(0, ModelConfig()))
@@ -112,11 +117,14 @@ def pipeline(tmp_path_factory):
          "--batch", 4, "--max-skip", 5, "--seed", 0]
     ) == 0
     ckpt = os.path.join(run_dir, "model.ckpt")
+    stage_done("train")
 
     preds = str(root / "preds_default")
     scores = str(root / "scores_default")
     assert run_cli(["infer", "--data", eval_data, "--checkpoint", ckpt, "--out", preds]) == 0
+    stage_done("infer")
     assert run_cli(["eval", "--pred", preds, "--data", eval_data, "--out", scores]) == 0
+    stage_done("eval")
     elapsed = time.monotonic() - started
     mean_j, mean_f = mean_scores(scores)
 
@@ -149,6 +157,7 @@ def pipeline(tmp_path_factory):
     return {
         "root": root,
         "elapsed": elapsed,
+        "stages": stages,
         "mean_j": mean_j,
         "mean_f": mean_f,
         "occlusion_j": occlusion_j,
@@ -324,7 +333,8 @@ class TestAcceptance:
         )
         record(8, ok,
                f"2000 iterations on 200 sequences, 20 held out: J {pipeline['mean_j']:.3f} (gate 0.70), "
-               f"F {pipeline['mean_f']:.3f} (gate 0.55), wall clock {pipeline['elapsed']:.0f}s (limit 1800s)")
+               f"F {pipeline['mean_f']:.3f} (gate 0.55), wall clock {pipeline['elapsed']:.0f}s (limit 1800s; "
+               + ", ".join(f"{name} {seconds:.1f}s" for name, seconds in pipeline["stages"].items()) + ")")
 
     def test_criterion_09_ablation_trends(self, record, pipeline):
         occ = pipeline["occlusion_j"]

@@ -440,34 +440,28 @@ class TestInfer:
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1]
 
-    def test_one_scale_names_the_row_half_helper(self, dataset, trained, tmp_path, monkeypatch, capsys):
-        # a 128x192 clip has a 1536-pixel feature grid, a 32x48 clip 96; the
-        # helper serves a frame of one pass, so the large clip keeps one object
-        mixed = str(tmp_path / "mixed")
-        assert run_cli(["gen", "--n", 1, "--out", mixed, "--seed", 4, "--resolution", "128x192", "--frames", 3,
-                        "--preset", "occlusion-heavy"]) == 0
-        first = os.path.join(mixed, "seq00000", "masks", "00000.pgm")
+    def test_one_object_at_one_scale_reports_the_pair_threads(self, dataset, trained, tmp_path, monkeypatch,
+                                                              capsys):
+        # a frame of one pass runs its two branch pairs on two threads where two CPUs are usable
+        single = str(tmp_path / "single")
+        shutil.copytree(os.path.join(dataset, "seq00001"), os.path.join(single, "seq00001"))
+        first = os.path.join(single, "seq00001", "masks", "00000.pgm")
         mask = read_pgm(first)
         lowest = mask[mask > 0].min()
         write_pgm(first, np.where(mask == lowest, lowest, 0).astype(np.uint8))
-        shutil.copytree(os.path.join(dataset, "seq00001"), os.path.join(mixed, "small"))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         trees = []
-        for pinned, line in ((True, "on 1 pass thread(s) and a row-half helper thread on 1 of 2 clip(s)"),
-                             (False, "on 1 pass thread(s); BLAS could not be pinned to one thread, "
-                                     "so passes ran one at a time")):
+        for pinned, cpus, line in ((True, {0, 1}, "on 2 pass thread(s)"), (True, {0}, "on 1 pass thread(s)"),
+                                   (False, {0, 1}, "on 1 pass thread(s); BLAS could not be pinned to one thread, "
+                                                   "so passes ran one at a time")):
             monkeypatch.setattr(blas, "PINNED", pinned)
-            out = str(tmp_path / f"pinned-{pinned}")
-            assert run_cli(["infer", "--data", mixed, "--checkpoint", os.path.join(trained, "model.ckpt"),
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out = str(tmp_path / f"pinned-{pinned}-{len(cpus)}")
+            assert run_cli(["infer", "--data", single, "--checkpoint", os.path.join(trained, "model.ckpt"),
                             "--out", out, "--scales", "1.0", "--dump-probs"]) == 0
             err = capsys.readouterr().err
             assert re.fullmatch(r"infer: \d+\.\d frame-objects/s " + re.escape(line) + "\n", err), err
             trees.append(tree_bytes(out))
-        assert trees[0] == trees[1]
-        monkeypatch.setattr(blas, "PINNED", True)
-        assert run_cli(["infer", "--data", mixed, "--checkpoint", os.path.join(trained, "model.ckpt"),
-                        "--out", str(tmp_path / "small"), "--sequence", "small", "--scales", "1.0"]) == 0
-        assert capsys.readouterr().err.endswith(" frame-objects/s on 1 pass thread(s)\n")
+        assert trees[0] == trees[1] == trees[2]
 
     def test_missing_first_mask_is_data_error(self, dataset, trained, tmp_path, capsys):
         bare = tmp_path / "bare" / "seq00000"

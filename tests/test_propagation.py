@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -382,8 +383,8 @@ class TestScaleThreads:
         assert failed_on == [failing == "calling"]
         assert npmca_threads() == []
 
-    @pytest.mark.parametrize("scales, threads", [((1.0,), 4), ((0.75, 1.0, 1.25), 1)], ids=["one-scale", "one-thread"])
-    def test_no_thread_starts_for_one_scale_or_one_usable_thread(self, monkeypatch, scales, threads):
+    @pytest.mark.parametrize("scales", [(1.0,), (0.75, 1.0, 1.25)], ids=["one-scale", "three-scales"])
+    def test_no_thread_starts_with_one_usable_thread(self, monkeypatch, scales):
         # with one scale, one object: a frame of one pass
         video, params = tiny_setup(4, "occlusion-heavy")
         first = np.where(video.masks[0] == 1, 1, 0) if len(scales) == 1 else video.masks[0]
@@ -394,9 +395,8 @@ class TestScaleThreads:
             started.append(thread.name)
             start(thread)
 
-        use_threads(monkeypatch, threads)
-        if threads > 1:
-            assert blas.workers(len(scales)) == 1
+        use_threads(monkeypatch, 1)
+        assert propagation.loop_threads(1 if len(scales) == 1 else 2, scales) == 1
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         result = infer_sequence(video, first, params, InferenceOptions(scales=scales))
         assert len(result.masks) == len(video.frames)
@@ -405,7 +405,7 @@ class TestScaleThreads:
 
 class TestPassPool:
     """A frame's passes of several objects at one scale run at once, one
-    per usable thread, outside ``ops.row_halves``."""
+    per usable thread."""
 
     @staticmethod
     def large_setup():
@@ -413,9 +413,8 @@ class TestPassPool:
         video = generate_sequence(cfg, 5, "seq05")
         return video, init_model_params(55, ModelConfig(stage_channels=(4, 6, 8)))
 
-    def test_two_objects_run_on_two_threads_and_take_no_half(self, monkeypatch):
+    def test_two_objects_run_on_two_threads(self, monkeypatch):
         video, params = self.large_setup()
-        given = TestRowHalves.helper_halves(monkeypatch)
         forward = propagation.forward_single_object
         threads = []
 
@@ -427,7 +426,7 @@ class TestPassPool:
         results = {}
         for count in (1, 2):
             use_threads(monkeypatch, count)
-            assert propagation.loop_threads(2, (1.0,), (128, 192)) == (count, False)
+            assert propagation.loop_threads(2, (1.0,)) == count
             threads.clear()
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -437,7 +436,6 @@ class TestPassPool:
                 sys.setswitchinterval(interval)
             assert len(threads) == 2 * (len(video.frames) - 1)
             assert set(threads) == ({"MainThread", "npmca-pass"} if count == 2 else {"MainThread"})
-        assert given == []
         assert results[1].object_ids == results[2].object_ids == [1, 2]
         for a, b in zip(results[1].masks, results[2].masks):
             assert a.tobytes() == b.tobytes()
@@ -490,136 +488,207 @@ class TestPassPool:
         assert npmca_threads() == []
 
 
-class TestRowHalves:
-    """One object at one scale on a large grid computes each pass's large
-    steps as two halves, the lower ones on a helper thread where two CPUs
-    are usable; stacks and label rasters equal those of one CPU."""
+class TestPairs:
+    """A frame of one pass (one object, one scale) runs the pass on the
+    calling thread and each of its two branch pairs at once, the second
+    step on the pool thread where two CPUs are usable; stacks and label
+    rasters equal those of one CPU."""
 
     @staticmethod
-    def large_setup():
-        video, params = TestPassPool.large_setup()
+    def one_pass_setup(plan):
+        cfg = random_scene(5, "occlusion-heavy", resolution=(128, 192), frames=3)
+        video = generate_sequence(cfg, 5, "seq05")
         first = video.masks[0]
-        return video, params, np.where(first == 1, 1, 0)  # the first object alone, as perfbench's warm-up
+        # the first object alone, as perfbench's warm-up
+        return video, init_model_params(55, ModelConfig(stage_channels=plan)), np.where(first == 1, 1, 0)
 
     @staticmethod
-    def helper_halves(monkeypatch, fail=False):
-        """The (start, stop) row ranges handed to the row-half helper; with
-        ``fail``, the helper's first half raises instead of running."""
-        given = []
+    def record_steps(monkeypatch, params, fail=None):
+        """(step, thread) of each pair member of ``params``' passes as it
+        finishes; with ``fail``, that step raises instead."""
+        ran = []
 
-        class Recording(ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                given.append(args)
-                if fail and len(given) == 1:
-                    def fn(*args):
-                        raise RuntimeError("row half failed")
-                return super().submit(fn, *args, **kwargs)
+        def recording(name, fn):
+            def step(*args, **kwargs):
+                if name == fail:
+                    ran.append((f"{name} failed", threading.current_thread().name.split("_")[0]))
+                    raise RuntimeError(f"{name} failed")
+                out = fn(*args, **kwargs)
+                ran.append((name, threading.current_thread().name.split("_")[0]))
+                return out
+            return step
 
-        monkeypatch.setattr(ops, "ThreadPoolExecutor", Recording)
-        return given
+        nlpmm = model.nlpmm_forward
+
+        def match(f_ref, f_tar, nlpmm_params, tape=None):
+            name = "first-match" if nlpmm_params is params.nlpmm_first else "previous-match"
+            return recording(name, nlpmm)(f_ref, f_tar, nlpmm_params, tape)
+
+        monkeypatch.setattr(model, "encode_reference_image", recording("previous-encode", model.encode_reference_image))
+        monkeypatch.setattr(model, "encode_target", recording("target-encode", model.encode_target))
+        monkeypatch.setattr(model, "nlpmm_forward", match)
+        return ran
 
     def test_rule(self, monkeypatch):
-        use_threads(monkeypatch, 2)
-        # a 128x192 frame has a 32x48 grid of 1536 pixels; 128x128 exactly 1024
-        assert propagation.loop_threads(1, (1.0,), (128, 192)) == (1, True)
-        assert propagation.loop_threads(1, (1.0,), (128, 128)) == (1, True)
-        assert propagation.loop_threads(1, (1.0,), (124, 128)) == (1, False)
-        assert propagation.loop_threads(1, (1.0,), (64, 96)) == (1, False)
-        assert propagation.loop_threads(1, (0.5,), (256, 384)) == (1, True)
-        assert propagation.loop_threads(1, (0.75, 1.0, 1.25), (128, 192)) == (2, False)
-        # more than one pass a frame feeds the pool instead
-        assert propagation.loop_threads(2, (1.0,), (128, 192)) == (2, False)
-        assert propagation.loop_threads(1, (1.0, 1.0), (128, 192)) == (2, False)
-        # the rule reads shapes only: one CPU runs the same halves without a helper
+        use_threads(monkeypatch, 4)
+        assert propagation.loop_threads(1, (1.0,)) == 2
+        assert propagation.loop_threads(1, (0.75, 1.0, 1.25)) == 3
+        assert propagation.loop_threads(3, (1.0,)) == 3
+        assert propagation.loop_threads(2, (0.75, 1.0, 1.25)) == 4
         use_threads(monkeypatch, 1)
-        assert propagation.loop_threads(1, (1.0,), (128, 192)) == (1, True)
-        assert propagation.loop_threads(1, (1.0,), (124, 128)) == (1, False)
-        assert propagation.loop_threads(2, (1.0,), (128, 192)) == (1, False)
+        assert propagation.loop_threads(1, (1.0,)) == 1
+        assert propagation.loop_threads(2, (1.0,)) == 1
 
-    def test_stacks_and_labels_equal_one_thread(self, monkeypatch):
-        video, params, first = self.large_setup()
-        given = self.helper_halves(monkeypatch)
+    @pytest.mark.parametrize("plan", [(16, 32, 64), (4, 6, 8)], ids=["default-plan", "small-plan"])
+    def test_stacks_and_labels_equal_one_thread(self, monkeypatch, plan):
+        video, params, first = self.one_pass_setup(plan)
         results = {}
         for count in (1, 2):
             use_threads(monkeypatch, count)
-            given.clear()
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
                 results[count] = infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
             finally:
                 sys.setswitchinterval(interval)
-            # per pass, every product of at least 1024 rows: the 14 convs (both
-            # encoders' three stages, four reductions, fusion, two refinements and
-            # the head), the CM blocks' two (1536, 2) mixes, and each match's six
-            # halves (similarity, four softmax steps, blend); and every per-pixel
-            # step past its cut, which with this (4, 6, 8) plan is only the last
-            # upsample (64x96 to 128x192, 3145728 multiply-adds per channel).
-            # Before the frame loop, the object's first reference takes its
-            # encoder's three convs. No helper on one CPU.
-            per_pass = 14 + 2 + 2 * 6 + 1
-            assert len(given) == (2 * per_pass + 3 if count == 2 else 0)
-        assert len(results[1].object_ids) == 1
+        assert results[1].object_ids == results[2].object_ids == [1]
         for a, b in zip(results[1].masks, results[2].masks):
             assert a.tobytes() == b.tobytes()
         for a, b in zip(results[1].stacks, results[2].stacks):
             assert a.tobytes() == b.tobytes()
         assert npmca_threads() == []
 
-    def test_an_error_in_the_helpers_half_reaches_the_caller(self, monkeypatch):
-        video, params, first = self.large_setup()
+    def test_each_pair_runs_on_the_calling_thread_and_the_pool(self, monkeypatch):
+        video, params, first = self.one_pass_setup((4, 6, 8))
+        ran = self.record_steps(monkeypatch, params)
         use_threads(monkeypatch, 2)
-        given = self.helper_halves(monkeypatch, fail=True)
-        with pytest.raises(RuntimeError, match="row half failed"):
-            infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
-        assert len(given) == 1
+        infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
+        # per predicted frame, each pair's first step on the calling thread
+        # and its second on the pool (the frame-0 encode is propagation's own call)
+        assert sorted(ran) == sorted([("previous-encode", "MainThread"), ("target-encode", "npmca-pass"),
+                                      ("first-match", "MainThread"), ("previous-match", "npmca-pass")] * 2)
         assert npmca_threads() == []
 
-    def test_three_scales_split_nothing(self, monkeypatch):
-        video, params, first = self.large_setup()
+    @pytest.mark.parametrize("failing", ["previous-encode", "target-encode", "first-match", "previous-match"])
+    def test_an_error_in_either_member_reaches_the_caller_and_no_thread_stays(self, monkeypatch, failing):
+        video, params, first = self.one_pass_setup((4, 6, 8))
+        ran = self.record_steps(monkeypatch, params, fail=failing)
         use_threads(monkeypatch, 2)
-        given = self.helper_halves(monkeypatch)
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
+        # in the first predicted frame: the failing step's partner finished
+        # before the error reached the caller, and no later step started
+        encodes, matches = ["previous-encode", "target-encode"], ["first-match", "previous-match"]
+        steps = encodes + (matches if failing in matches else [])
+        assert sorted(name for name, _ in ran) == sorted(f"{name} failed" if name == failing else name for name in steps)
+        assert npmca_threads() == []
+
+    def test_a_failing_member_raises_once_its_partner_has_finished(self):
+        def fail(name):
+            def step():
+                raise RuntimeError(f"{name} failed")
+            return step
+
+        finished = threading.Event()
+
+        def slow():
+            time.sleep(0.05)
+            finished.set()
+
+        with ThreadPoolExecutor(1, thread_name_prefix="npmca-pass") as pool:
+            run_pair = propagation._pair_runner(pool)
+            with pytest.raises(RuntimeError, match="first failed"):
+                run_pair(fail("first"), slow)
+            assert finished.is_set()
+            # both fail: the calling thread's error reaches the caller
+            with pytest.raises(RuntimeError, match="first failed"):
+                run_pair(fail("first"), fail("second"))
+        assert npmca_threads() == []
+
+    @pytest.mark.parametrize("plan", [(16, 32, 64), (4, 6, 8)], ids=["default-plan", "small-plan"])
+    def test_a_lone_pass_equals_the_same_pass_beside_another(self, monkeypatch, plan):
+        # at scales (1.0, 1.0) the object's pass runs twice a frame on the pass
+        # pool, and the mean of two equal planes is the plane itself
+        video, params, first = self.one_pass_setup(plan)
+        use_threads(monkeypatch, 2)
+        lone = infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
+        pooled = infer_sequence(video, first, params, InferenceOptions(scales=(1.0, 1.0)))
+        for a, b in zip(lone.masks, pooled.masks):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(lone.stacks, pooled.stacks):
+            assert a.tobytes() == b.tobytes()
+        assert npmca_threads() == []
+
+    def test_a_frame_of_several_passes_runs_its_pairs_in_order(self, monkeypatch):
+        video, params, first = self.one_pass_setup((4, 6, 8))
+        use_threads(monkeypatch, 2)
         forward = propagation.forward_single_object
-        threads = set()
+        runners, threads = set(), set()
 
         def recording_forward(*args, **kwargs):
+            runners.add(kwargs["run_pair"])
             threads.add(threading.current_thread().name.split("_")[0])
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(propagation, "forward_single_object", recording_forward)
         infer_sequence(video, first, params)
-        assert given == []
+        assert runners == {model.in_order}
         assert threads == {"MainThread", "npmca-pass"}
 
 
 class TestScalesFit:
-    """Scales whose similarities would not fit in memory together are
-    refused before anything is allocated."""
+    """Scales whose matches would not fit in memory at once are refused
+    before anything is allocated."""
 
-    def test_the_scales_similarities_are_counted_together_against_half_the_limit(self, monkeypatch):
-        # a 128x192 frame has a 384-pixel grid at scale 0.5 and a 1536-pixel one at 1
-        both = 8 * 384**2 + 8 * 1536**2
+    def test_each_thread_counts_the_largest_scales_match_against_half_the_limit(self, monkeypatch):
+        # a 128x192 frame has a 384-pixel grid at scale 0.5, whose whole
+        # similarity is under MATCH_BLOCK_BYTES, and a 1536-pixel one at 1,
+        # which holds one 384-column block; one object at two scales runs on two threads
+        use_threads(monkeypatch, 4)
+        assert 8 * 384**2 < ops.MATCH_BLOCK_BYTES <= 8 * 1536**2
+        both = 2 * max(8 * 384**2, 8 * 1536 * ops.MATCH_BLOCK_COLUMNS)
         monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * both)
-        propagation.check_scales_fit((0.5, 1.0), (128, 192), "seq")
+        propagation.check_scales_fit(1, (0.5, 1.0), (128, 192), "seq")
         monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * both - 1)
         with pytest.raises(ValueError) as exc:
-            propagation.check_scales_fit((0.5, 1.0), (128, 192), "seq")
-        assert str(exc.value) == ("scales 0.5, 1.0 give sequence seq (128x192 frames) similarities of 2.01e+7 bytes "
-                                  "together, more than half of the 4.01e+7 bytes of memory this process may use")
+            propagation.check_scales_fit(1, (0.5, 1.0), (128, 192), "seq")
+        assert str(exc.value) == ("scales 0.5, 1.0 give sequence seq (128x192 frames) matches holding 9.44e+6 bytes "
+                                  "at once, more than half of the 1.89e+7 bytes of memory this process may use")
 
-    def test_scales_that_fit_alone_but_not_together_are_refused(self, monkeypatch):
-        monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * 8 * 1536**2)
-        propagation.check_scales_fit((1.0,), (128, 192), "seq")
-        with pytest.raises(ValueError, match=re.escape("scales 1.0, 1.0 give sequence seq")):
-            propagation.check_scales_fit((1.0, 1.0), (128, 192), "seq")
+    def test_more_threads_hold_more_matches(self, monkeypatch):
+        use_threads(monkeypatch, 4)
+        monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * 2 * 8 * 1536 * ops.MATCH_BLOCK_COLUMNS)
+        propagation.check_scales_fit(1, (1.0,), (128, 192), "seq")  # one pass: its two matches at once
+        propagation.check_scales_fit(2, (1.0,), (128, 192), "seq")
+        with pytest.raises(ValueError, match=re.escape("scales 1.0 give sequence seq (128x192 frames) matches")):
+            propagation.check_scales_fit(3, (1.0,), (128, 192), "seq")
+        use_threads(monkeypatch, 2)
+        propagation.check_scales_fit(3, (1.0,), (128, 192), "seq")
+
+    @pytest.mark.parametrize("size", [(480, 856), (480, 848), (512, 768)], ids=["480x856", "480x848", "512x768"])
+    def test_the_papers_frame_sizes_fit_at_one_scale(self, monkeypatch, size):
+        # DAVIS's 480p frames, one object: a blocked match holds about 7.9e7 bytes
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(propagation, "memory_limit", lambda: 8_410_000_000)
+        propagation.check_scales_fit(1, (1.0,), size, "seq")
+
+    def test_a_frame_past_the_bound_is_refused(self, monkeypatch):
+        # two threads' 384-column blocks: a 750x900 grid takes 4.15e9 bytes, an 800x900 one 4.42e9
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(propagation, "memory_limit", lambda: 8_410_000_000)
+        propagation.check_scales_fit(1, (1.0,), (3000, 3600), "seq")
+        with pytest.raises(ValueError) as exc:
+            propagation.check_scales_fit(1, (1.0,), (3200, 3600), "seq")
+        assert str(exc.value) == ("scales 1.0 give sequence seq (3200x3600 frames) matches holding 4.42e+9 bytes "
+                                  "at once, more than half of the 8.41e+9 bytes of memory this process may use")
 
     def test_huge_scales_are_refused_and_unknown_memory_checks_nothing(self, monkeypatch):
         for scale in (1e6, 1e300):
             with pytest.raises(ValueError, match=re.escape(f"scales 1.0, {scale} give sequence seq (32x48 frames)")):
-                propagation.check_scales_fit((1.0, scale), (32, 48), "seq")
+                propagation.check_scales_fit(1, (1.0, scale), (32, 48), "seq")
         assert propagation.memory_limit() > 2 * 8 * 1536**2
         monkeypatch.setattr(propagation, "memory_limit", lambda: None)
-        propagation.check_scales_fit((1e300,), (32, 48), "seq")
+        propagation.check_scales_fit(1, (1e300,), (32, 48), "seq")
 
     def test_cgroup_limits_of_the_group_and_its_ancestors(self, tmp_path, monkeypatch):
         def write(path, text):

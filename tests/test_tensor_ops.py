@@ -1,10 +1,6 @@
 """Forward behaviour of the tensor engine's primitive operations."""
 
-import os
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -12,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from npmca import blas, ops
+from npmca import ops
 from npmca.autodiff import Tape
 from npmca.errors import NumericError, ShapeError
 from npmca.model import ModelConfig, forward_single_object, init_model_params
@@ -162,276 +158,6 @@ class TestSoftmaxColumns:
         assert np.max(np.abs(out.sum(axis=0) - 1.0)) <= 1e-9
 
 
-def helper_halves(monkeypatch):
-    """The (start, stop) row ranges handed to ``ops.row_halves``'s helper."""
-    given = []
-
-    class Recording(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            given.append(args)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(ops, "ThreadPoolExecutor", Recording)
-    return given
-
-
-def use_cpus(monkeypatch, cpus):
-    """Make ``blas.workers`` see ``cpus`` usable CPUs, with BLAS pinned."""
-    monkeypatch.setattr(blas, "PINNED", True)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def halves_with_and_without_helper(monkeypatch, call):
-    """``call()``'s array inside ``row_halves`` with one usable CPU (the
-    caller computes both halves) and with two (a helper computes the lower
-    ones); asserts they are equal bit for bit and returns the second."""
-    results = []
-    for cpus in (1, 2):
-        use_cpus(monkeypatch, cpus)
-        with ops.row_halves():
-            results.append(call().array)
-    assert results[0].tobytes() == results[1].tobytes()
-    return results[1]
-
-
-def _map(*shape):
-    return Tensor(rng.normal(size=shape))
-
-
-def _window_mean(a):  # the 2x2 window mean, rows first
-    rows = a[0::2] + a[1::2]
-    return (rows[:, 0::2] + rows[:, 1::2]) * 0.25
-
-
-def _interpolated(a, oh, ow):  # mh @ a @ mw.T over each channel
-    h, w, c = a.shape
-    mh, mw = ops._interp_matrix(h, oh), ops._interp_matrix(w, ow)
-    tall = (mh @ a.reshape(h, w * c)).reshape(oh, w, c).transpose(0, 2, 1).reshape(oh * c, w)
-    return (tall @ mw.T).reshape(oh, c, ow).transpose(0, 2, 1)
-
-
-# the per-pixel steps split inside row_halves: (call, rows of its output map,
-# the step in plain numpy); each reads exactly HALVES_MIN_ENTRIES entries or
-# does exactly HALVES_MIN_MADDS multiply-adds, or is an odd row count above
-# its cut. The interpolation ("upsample", "resize-odd-rows") multiplies its
-# halves apart, so only the others are bitwise with the whole step by
-# construction.
-_relu_in, _odd_relu_in = _map(32, 32, 160), _map(33, 40, 125)
-_mean_in, _odd_mean_in = np.maximum(_map(64, 80, 32).array, 0.0), _map(66, 64, 40)
-_up_in, _resize_in = _map(32, 48, 8), _map(20, 30, 53)
-_cat_in = [_map(31, 40, 40), _map(31, 40, 60), _map(31, 40, 33)]
-PER_PIXEL_STEPS = {
-    "relu": (lambda: ops.relu(_relu_in), 32, lambda: np.maximum(_relu_in.array, 0.0)),
-    "relu-odd-rows": (lambda: ops.relu(_odd_relu_in), 33, lambda: np.maximum(_odd_relu_in.array, 0.0)),
-    "window-mean": (lambda: ops.bilinear_resize(_mean_in, 32, 40), 32, lambda: _window_mean(_mean_in)),
-    "window-mean-odd-rows": (lambda: ops.bilinear_resize(_odd_mean_in, 33, 32), 33,
-                             lambda: _window_mean(_odd_mean_in.array)),
-    "upsample": (lambda: ops.bilinear_resize(_up_in, 64, 96), 64, lambda: _interpolated(_up_in.array, 64, 96)),
-    "resize-odd-rows": (lambda: ops.bilinear_resize(_resize_in, 33, 41), 33,
-                        lambda: _interpolated(_resize_in.array, 33, 41)),
-    "concat-odd-rows": (lambda: ops.concat_channels(_cat_in), 31,
-                        lambda: np.concatenate([p.array for p in _cat_in], axis=2)),
-}
-
-
-def npmca_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("npmca")]
-
-
-class TestRowHalves:
-    """Inside ``ops.row_halves`` untaped products with at least 1024 rows
-    are computed as two row halves, those with fewer rows but at least 1024
-    columns as two column halves, and untaped per-pixel steps past their
-    measured cut as two row halves of their output. The halves are the same
-    with and without the helper thread, so the results are equal bit for
-    bit.
-
-    The references are the whole products, so outside ``row_halves`` the
-    blocks of ``TestBlocks`` are lifted here."""
-
-    @pytest.fixture(autouse=True)
-    def whole_products(self, monkeypatch):
-        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 1 << 60)
-        monkeypatch.setattr(ops, "MATCH_BLOCK_BYTES", 1 << 60)
-
-    @pytest.mark.parametrize("n", [1024, 1037, 1536, 2047, 2400])
-    def test_softmax_match_is_bitwise(self, monkeypatch, n):
-        given = helper_halves(monkeypatch)
-        r = np.random.default_rng(n)
-        ref, tar = r.normal(size=(n, 16)), r.normal(size=(n, 16))
-        whole = ops.softmax_match(ref, tar).array
-        halves = halves_with_and_without_helper(monkeypatch, lambda: ops.softmax_match(ref, tar))
-        # the similarity's row halves, the column extremes, the shifted exp,
-        # the column sums' column halves, the divide, and the (16, n) blend's
-        # column halves
-        assert given == [(n // 2, n)] * 6
-        assert_allclose(halves, whole, rtol=1e-12, atol=0)
-        assert npmca_threads() == []
-
-    @pytest.mark.parametrize("n", [1024, 1037, 2047])
-    def test_column_sums_in_halves_are_bitwise(self, monkeypatch, n):
-        given = helper_halves(monkeypatch)
-        m = np.random.default_rng(n).normal(size=(n, n)) * 4.0
-        e = np.exp(m - m.max(axis=0))
-        whole = e / e.sum(axis=0)
-        assert ops._softmax_columns_inplace(m).tobytes() == whole.tobytes()
-        halves = halves_with_and_without_helper(monkeypatch, lambda: Tensor(ops._softmax_columns_inplace(m, split=True)))
-        assert halves.tobytes() == whole.tobytes()
-        # per run with the helper: the extremes, the shifted exp, the column sums, the divide
-        assert given == [(n // 2, n)] * 4
-
-    @pytest.mark.parametrize("step", sorted(PER_PIXEL_STEPS))
-    def test_per_pixel_steps_are_bitwise(self, monkeypatch, step):
-        given = helper_halves(monkeypatch)
-        call, rows, plain = PER_PIXEL_STEPS[step]
-        whole = call().array
-        assert whole.tobytes() == np.ascontiguousarray(plain()).tobytes()
-        halves = halves_with_and_without_helper(monkeypatch, call)
-        if step in ("upsample", "resize-odd-rows"):
-            assert_allclose(halves, whole, rtol=1e-12, atol=0)
-        else:
-            assert halves.tobytes() == whole.tobytes()
-        assert given == [(rows // 2, rows)]
-        assert npmca_threads() == []
-
-    def test_per_pixel_steps_take_no_half_below_their_cut_taped_or_on_other_threads(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        given = helper_halves(monkeypatch)
-        below = [  # 163680 entries read, or 3096576 and 3105270 multiply-adds, and a matrix
-            lambda: ops.relu(_map(31, 33, 160)),
-            lambda: ops.concat_channels([_map(31, 33, 100), _map(31, 33, 60)]),
-            lambda: ops.bilinear_resize(_map(62, 66, 40), 31, 33),
-            lambda: ops.bilinear_resize(_map(16, 24, 63), 32, 48),
-            lambda: ops.bilinear_resize(_map(20, 30, 63), 31, 33),
-            lambda: ops.relu(_map(4096, 2)),
-        ]
-
-        def steps(wrap):  # each writes a 32x48 map, split at row 16 when it splits
-            return [lambda: ops.relu(wrap(rng.normal(size=(32, 48, 107)))),
-                    lambda: ops.concat_channels([wrap(rng.normal(size=(32, 48, 100))), _map(32, 48, 7)]),
-                    lambda: ops.bilinear_resize(wrap(rng.normal(size=(64, 96, 27))), 32, 48),
-                    lambda: ops.bilinear_resize(wrap(rng.normal(size=(16, 24, 64))), 32, 48)]
-
-        with ops.row_halves():
-            for call in below + steps(Tape().watch):
-                call()
-            other = threading.Thread(target=lambda: [call() for call in steps(Tensor)])
-            other.start()
-            other.join(timeout=60)
-            assert not other.is_alive()
-        assert given == []
-        with ops.row_halves():
-            for call in steps(Tensor):
-                call()
-        assert given == [(16, 32)] * 4
-
-    @pytest.mark.parametrize("half", ["top", "bottom"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_entry_raises_the_same_error(self, monkeypatch, half, value):
-        use_cpus(monkeypatch, 2)
-        given = helper_halves(monkeypatch)
-        n = 1100
-        r = np.random.default_rng(7)
-        ref, tar = r.normal(size=(n, 8)), r.normal(size=(n, 8))
-        tar[:, 0] = np.abs(tar[:, 0]) + 0.5
-        # similarity row i is then all ``value``: a -inf shows only in the column min
-        ref[5 if half == "top" else n - 5, 0] = value
-        errors = []
-        for lend in (False, True):
-            with ops.row_halves() if lend else nullcontext():
-                with pytest.raises(NumericError) as exc:
-                    ops.softmax_match(ref, tar)
-            errors.append(str(exc.value))
-        assert errors[0] == errors[1] == "softmax_columns: input contains non-finite values"
-        assert given == [(n // 2, n)] * 2  # the similarity and the column extremes
-        assert npmca_threads() == []
-
-    @pytest.mark.parametrize("size", [(128, 192), (100, 100), (96, 144)], ids=["128x192", "100x100", "96x144"])
-    @pytest.mark.parametrize("plan", [(16, 32, 64), (4, 6, 8)], ids=["default-plan", "small-plan"])
-    def test_conv2d_is_bitwise_for_every_shape_the_model_makes(self, monkeypatch, size, plan):
-        shapes = model_conv_shapes(size, plan)
-        assert len(shapes) >= 8
-
-        r = np.random.default_rng(3)
-        given = helper_halves(monkeypatch)
-        split = 0
-        for x_shape, w_shape, stride, pad in shapes:
-            x, w, b = r.normal(size=x_shape), r.normal(size=w_shape), r.normal(size=w_shape[-1])
-            whole = ops.conv2d(x, w, b, stride, pad).array
-            halves = halves_with_and_without_helper(monkeypatch, lambda: ops.conv2d(x, w, b, stride, pad))
-            assert_allclose(halves, whole, rtol=1e-12, atol=1e-12)
-            split += x_shape[0] * x_shape[1] >= ops.HALVES_MIN_ROWS  # every conv of the model keeps its size
-        assert len(given) == split
-        assert split >= 4
-
-    def test_a_narrow_conv_splits(self, monkeypatch):
-        # a width of 4 at 24576 rows: on OpenBLAS's SkylakeX kernels these
-        # halves differ in bits from the whole product, but not from each other
-        given = helper_halves(monkeypatch)
-        x, w, b = rng.normal(size=(128, 192, 2)), rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
-        whole = ops.conv2d(x, w, b, 1, 1).array
-        halves = halves_with_and_without_helper(monkeypatch, lambda: ops.conv2d(x, w, b, 1, 1))
-        assert given == [(64, 128)]
-        assert_allclose(halves, whole, rtol=1e-12, atol=1e-12)
-
-    def test_products_of_fewer_rows_and_columns_stay_whole(self, monkeypatch):
-        given = helper_halves(monkeypatch)
-        x, w, b = rng.normal(size=(16, 24, 64)), rng.normal(size=(3, 3, 64, 8)), rng.normal(size=8)  # 384 rows
-        ref, tar, wide = rng.normal(size=(384, 16)), rng.normal(size=(384, 16)), rng.normal(size=(384, 1000))
-        calls = [lambda: ops.conv2d(x, w, b, 1, 1), lambda: ops.softmax_match(ref, tar),
-                 lambda: ops.matmul(ref, tar.T), lambda: ops.matmul(ref.T, wide)]
-        wholes = [call().array for call in calls]
-        for call, whole in zip(calls, wholes):
-            assert halves_with_and_without_helper(monkeypatch, call).tobytes() == whole.tobytes()
-        assert given == []
-
-    def test_matmul_takes_row_or_column_halves(self, monkeypatch):
-        given = helper_halves(monkeypatch)
-        tall = rng.normal(size=(1500, 16)), rng.normal(size=(16, 8))  # (1500, 8): row halves
-        wide = rng.normal(size=(8, 16)), rng.normal(size=(16, 1100))  # (8, 1100): column halves
-        for x, y in (tall, wide):
-            halves = halves_with_and_without_helper(monkeypatch, lambda: ops.matmul(x, y))
-            assert_allclose(halves, x @ y, rtol=1e-12, atol=1e-12)
-        assert given == [(750, 1500), (550, 1100)]
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_halves_run_on_the_caller_or_on_one_helper(self, monkeypatch, cpus):
-        use_cpus(monkeypatch, cpus)
-        ran = []
-        matmul = np.matmul
-
-        def recording(*args, **kwargs):
-            ran.append((threading.current_thread().name.split("_")[0], len(kwargs["out"])))
-            return matmul(*args, **kwargs)
-
-        x, w, b = rng.normal(size=(48, 64, 4)), rng.normal(size=(3, 3, 4, 16)), rng.normal(size=16)
-        with ops.row_halves(), monkeypatch.context() as patch:
-            patch.setattr(np, "matmul", recording)
-            ops.conv2d(x, w, b, 1, 1)
-        # 48 map rows of 64 pixels: the upper 24 rows on the caller, the lower 24 on the helper if any
-        assert sorted(ran) == sorted([("MainThread", 24 * 64), ("MainThread" if cpus == 1 else "npmca-rows", 24 * 64)])
-        assert npmca_threads() == []
-
-    def test_taped_calls_and_other_threads_take_no_half(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        given = helper_halves(monkeypatch)
-        x, w, b = rng.normal(size=(48, 64, 4)), rng.normal(size=(3, 3, 4, 16)), rng.normal(size=16)
-        ref, tar = rng.normal(size=(1200, 4)), rng.normal(size=(1200, 4))
-        with ops.row_halves():
-            tape = Tape()
-            ops.conv2d(tape.watch(x), w, b, 1, 1)
-            ops.softmax_match(tape.watch(ref), tar)
-            ops.matmul(tape.watch(ref), tar.T)
-            other = threading.Thread(target=lambda: (ops.conv2d(x, w, b, 1, 1), ops.softmax_match(ref, tar)))
-            other.start()
-            other.join(timeout=60)
-            assert not other.is_alive()
-        assert given == []
-        with ops.row_halves():
-            ops.conv2d(x, w, b, 1, 1)
-        assert given == [(24, 48)]
-
-
 def model_conv_shapes(size, plan=(16, 32, 64)):
     """(input shape, kernel shape, stride, pad) of every conv2d one
     untaped pass of the model makes on (H, W) frames."""
@@ -467,10 +193,10 @@ def matmul_rows(monkeypatch):
 
 
 class TestBlocks:
-    """Outside ``row_halves``, an untaped conv2d lays out a large patch
-    matrix in row blocks and an untaped softmax_match runs a large
-    similarity in column blocks: equal to the whole calls bit for bit,
-    and holding one block at a time."""
+    """An untaped conv2d lays out a large patch matrix in row blocks and
+    an untaped softmax_match runs a large similarity in column blocks:
+    equal to the whole calls bit for bit, and holding one block at a
+    time."""
 
     @pytest.mark.parametrize("size", [(48, 72), (64, 96), (80, 120), (128, 192)],
                              ids=["48x72", "64x96", "80x120", "128x192"])
@@ -501,7 +227,7 @@ class TestBlocks:
         # 40x60 map: blocks of 14, 14 and 12 map rows)
         assert (blocked, short) == {(48, 72): (0, 0), (64, 96): (1, 0), (80, 120): (4, 1), (128, 192): (8, 2)}[size]
 
-    @pytest.mark.parametrize("n", [216, 384, 600, 1024, 1536])
+    @pytest.mark.parametrize("n", [216, 384, 600, 1024, 1037, 1350, 1536, 2400])
     def test_softmax_match_blocks_from_the_budget_and_equal_the_whole_match(self, monkeypatch, n):
         r = np.random.default_rng(n)
         ref, tar = r.normal(size=(n, 16)), r.normal(size=(n, 16))
@@ -518,7 +244,7 @@ class TestBlocks:
             widths = [min(384, n - lo) for lo in range(0, n, ops.MATCH_BLOCK_COLUMNS)]
             assert outs == [shape for w in widths for shape in ((n, w), (16, w))]
 
-    def test_blocks_run_only_untaped_and_outside_row_halves(self, monkeypatch):
+    def test_blocks_run_only_untaped(self, monkeypatch):
         x, w, b = rng.normal(size=(64, 96, 32)), rng.normal(size=(3, 3, 32, 16)), rng.normal(size=16)
         ref, tar = rng.normal(size=(1536, 16)), rng.normal(size=(1536, 16))
         with monkeypatch.context() as patch:
@@ -526,13 +252,26 @@ class TestBlocks:
             tape = Tape()
             ops.conv2d(tape.watch(x), w, b, 1, 1)
             ops.softmax_match(tape.watch(ref), tar)
-            use_cpus(patch, 1)
-            with ops.row_halves():
-                ops.conv2d(x, w, b, 1, 1)
+        # the taped conv multiplies its whole patch matrix; the taped match takes ``@``
+        assert outs == [(6144, 16)]
+
+    @pytest.mark.parametrize("block", ["first", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_in_any_block_raises(self, monkeypatch, block, value):
+        n = 1100  # blocks of 384, 384 and 332 target columns
+        r = np.random.default_rng(7)
+        ref, tar = r.normal(size=(n, 8)), r.normal(size=(n, 8))
+        ref[:, 0] = np.abs(ref[:, 0]) + 0.5
+        # similarity column j is then all ``value``: a -inf shows only in the column min
+        tar[5 if block == "first" else n - 5, 0] = value
+        assert 8 * n * n >= ops.MATCH_BLOCK_BYTES
+        with monkeypatch.context() as patch:
+            outs = matmul_rows(patch)
+            with pytest.raises(NumericError) as exc:
                 ops.softmax_match(ref, tar)
-        # the taped conv multiplies its whole patch matrix (the taped match
-        # takes ``@``); inside row_halves, each product takes its two halves
-        assert outs == [(6144, 16)] + [(3072, 16)] * 2 + [(768, 1536)] * 2 + [(16, 768)] * 2
+        assert str(exc.value) == "softmax_columns: input contains non-finite values"
+        # the raising block's similarity, after each earlier block's similarity and blend
+        assert outs == ([(n, 384)] if block == "first" else [(n, 384), (8, 384)] * 2 + [(n, 332)])
 
     def test_a_blocked_call_holds_its_output_and_one_block(self):
         x, w, b = rng.normal(size=(64, 96, 32)), rng.normal(size=(3, 3, 32, 16)), rng.normal(size=16)
@@ -551,6 +290,70 @@ class TestBlocks:
             assert out.array.nbytes + 8 * 1536 <= peak <= bound + slack, (peak, bound)
         # the whole patch matrix and the whole similarity
         assert 64 * 96 * 288 * 8 > 3 * ops.CONV_BLOCK_BYTES and 8 * 1536**2 > 3 * ops.MATCH_BLOCK_COLUMNS * 1536 * 8
+
+
+    @pytest.mark.parametrize("size", [(48, 72), (64, 96), (80, 120), (128, 192)],
+                             ids=["48x72", "64x96", "80x120", "128x192"])
+    def test_the_small_plans_conv_blocks_keep_the_budget(self, monkeypatch, size):
+        # the (4, 6, 8) plan's blocked convs take the same row blocks; its
+        # 4-column GEMMs of a 3x3 kernel differ from the whole product in the
+        # last bit (OpenBLAS 0.3.31, 2-vCPU Xeon), so only rounding is pinned
+        r = np.random.default_rng(5)
+        blocked, short = 0, 0
+        for x_shape, w_shape, stride, pad in model_conv_shapes(size, (4, 6, 8)):
+            x, w, b = r.normal(size=x_shape), r.normal(size=w_shape), r.normal(size=w_shape[-1])
+            with monkeypatch.context() as patch:
+                patch.setattr(ops, "CONV_BLOCK_BYTES", 1 << 60)
+                whole = ops.conv2d(x, w, b, stride, pad).array
+            with monkeypatch.context() as patch:
+                outs = matmul_rows(patch)
+                got = ops.conv2d(x, w, b, stride, pad).array
+            assert_allclose(got, whole, rtol=1e-14, atol=1e-14)
+            width = w_shape[0] * w_shape[1] * w_shape[2]
+            if w_shape[0] == 1 or 8 * x_shape[0] * x_shape[1] * width <= ops.CONV_BLOCK_BYTES:
+                assert outs == [(x_shape[0] * x_shape[1], w_shape[-1])]
+                continue
+            rows = [n for n, _ in outs]
+            assert len(rows) > 1 and sum(rows) == x_shape[0] * x_shape[1]
+            assert max(rows) * width * 8 <= ops.CONV_BLOCK_BYTES
+            assert set(rows[:-1]) == {rows[0]} and rows[-1] <= rows[0]
+            blocked += 1
+            short += rows[-1] < rows[0]
+        assert (blocked, short) == {(48, 72): (0, 0), (64, 96): (0, 0), (80, 120): (1, 0), (128, 192): (3, 1)}[size]
+
+
+class TestTapedForwards:
+    """A taped forward gives the untaped bits: a training pass computes
+    what inference computes, though only the untaped conv and match run
+    in blocks (default channel plan)."""
+
+    @pytest.mark.parametrize("size", [(64, 96), (80, 120), (128, 192)], ids=["64x96", "80x120", "128x192"])
+    def test_conv2d_at_every_shape_the_model_makes(self, size):
+        r = np.random.default_rng(11)
+        for x_shape, w_shape, stride, pad in model_conv_shapes(size):
+            x, w, b = r.normal(size=x_shape), r.normal(size=w_shape), r.normal(size=w_shape[-1])
+            untaped = ops.conv2d(x, w, b, stride, pad).array
+            taped = ops.conv2d(Tape().watch(x), w, b, stride, pad).array
+            assert taped.tobytes() == untaped.tobytes(), (x_shape, w_shape)
+
+    @pytest.mark.parametrize("n", [216, 600, 1024, 1536, 2400])
+    def test_softmax_match_whole_and_blocked(self, n):
+        r = np.random.default_rng(n + 1)
+        ref, tar = r.normal(size=(n, 16)), r.normal(size=(n, 16))
+        untaped = ops.softmax_match(ref, tar).array
+        for taped in (ops.softmax_match(Tape().watch(ref), tar), ops.softmax_match(ref, Tape().watch(tar))):
+            assert taped.array.tobytes() == untaped.tobytes()
+
+    @pytest.mark.parametrize("size", [(48, 72), (64, 96), (80, 120), (128, 192)],
+                             ids=["48x72", "64x96", "80x120", "128x192"])
+    def test_a_model_pass(self, size):
+        r = np.random.default_rng(3)
+        params = init_model_params(3, ModelConfig())
+        images = [r.uniform(size=(*size, 3)) for _ in range(3)]
+        guidance = r.uniform(size=size)
+        untaped = forward_single_object(params, *images, guidance).array
+        taped = forward_single_object(params, *images, guidance, tape=Tape()).array
+        assert taped.tobytes() == untaped.tobytes()
 
 
 class TestConv2d:
