@@ -98,11 +98,10 @@ CHAIN = [
     ("infer-occl", ["infer", "--data", "{out}/occl", "--checkpoint", "{out}/finetune/model.ckpt",
                     "--out", "{out}/infer-occl", "--scales", "1.0", "--dump-probs"]),
     ("infer-first-only", ["infer", "--data", "{out}/occl", "--checkpoint", "{out}/finetune/model.ckpt",
-                          "--out", "{out}/infer-first-only", "--first-frame-only", "--hard-guidance",
-                          "--dump-probs"]),
-    ("infer-soft-ref", ["infer", "--data", "{out}/data", "--checkpoint", "{out}/finetune/model.ckpt",
-                        "--out", "{out}/infer-soft-ref", "--soft-reference", "--disable-cm",
-                        "--scales", "0.5,1.0,1.5", "--sequence", "seq00001", "--dump-probs"]),
+                          "--out", "{out}/infer-first-only", "--first-frame-only", "--dump-probs"]),
+    ("infer-three-scales", ["infer", "--data", "{out}/data", "--checkpoint", "{out}/finetune/model.ckpt",
+                            "--out", "{out}/infer-three-scales", "--disable-cm", "--scales", "0.5,1.0,1.5",
+                            "--sequence", "seq00001", "--dump-probs"]),
     ("infer-single", ["infer", "--data", "{out}/occl", "--checkpoint", "{out}/single/model.ckpt",
                       "--out", "{out}/infer-single", "--single-encoder", "--dump-probs"]),
     ("stack-hashes", ["-c", STACK_HASHES, "{out}"]),

@@ -245,8 +245,6 @@ def cmd_infer(args) -> int:
         scales=args.scales,
         first_frame_only=args.first_frame_only,
         disable_cm=args.disable_cm,
-        soft_guidance=not args.hard_guidance,
-        soft_reference_mask=args.soft_reference,
     )
     names = [args.sequence] if args.sequence else list_sequences(args.data)
     if not names:
@@ -367,8 +365,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     infer.add_argument("--first-frame-only", dest="first_frame_only", action="store_true")
     infer.add_argument("--disable-cm", dest="disable_cm", action="store_true")
     infer.add_argument("--single-encoder", dest="single_encoder", action="store_true")
-    infer.add_argument("--hard-guidance", dest="hard_guidance", action="store_true")
-    infer.add_argument("--soft-reference", dest="soft_reference", action="store_true")
     infer.add_argument("--dump-probs", dest="dump_probs", action="store_true")
     infer.set_defaults(func=cmd_infer)
 

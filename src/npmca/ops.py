@@ -20,10 +20,13 @@ another into their rows of the output. ``softmax_match`` with a
 similarity of at least ``MATCH_BLOCK_BYTES`` runs in blocks of
 ``MATCH_BLOCK_COLUMNS`` target columns: each block's similarity, column
 softmax and blend, in one reused (N, block) buffer. A column's softmax
-reads only that column, and for the model's shapes each block's products
-equal the whole products' rows or columns bit for bit. No op starts a
-thread or reads the thread it runs on, so no bit depends on the pass
-count or the CPU count. On a tape every step runs once over its whole
+reads only that column, and at the model's default channel plan each
+block's products equal the whole products' rows or columns bit for bit.
+The (4, 6, 8) plan's 4-output-channel convs at 80x120 and 128x192 do
+not: they round differently when blocked, so there an untaped forward's
+bits, fixed by the block budget, differ from a taped forward's. No op
+starts a thread or reads the thread it runs on, so no bit depends on the
+pass count or the CPU count. On a tape every step runs once over its whole
 input.
 """
 

@@ -9,8 +9,10 @@ winning label becomes the reference mask for the next frame while the soft
 distribution feeds the next frame's guidance channel.
 
 Frame 0's references never change, so each object's is encoded once per
-scale, before the frame loop, and those features serve every later frame
-(as the previous reference too under ``first_frame_only``).
+scale, before the frame loop, and those features serve every later frame.
+They are the previous reference too wherever that is frame 0 masked by
+its own mask, at frame 1 and under ``first_frame_only`` at every frame;
+the guidance there is frame 0's one-hot mask.
 
 A frame's (object, scale) passes are independent, and so are the frame-0
 reference encodes: each set is one task list, largest grid first, that
@@ -25,11 +27,12 @@ A frame with exactly one pass (one object, one scale) gives the list
 nothing to share, so it gets two threads (``loop_threads``): the pass
 runs on the calling thread and hands the pool its two pairs of
 independent branch steps (``forward_single_object``'s ``run_pair``),
-the previous reference's encode beside the target's, then the first
-reference's match beside the previous one's, each pair's second step on
-the pool thread. The CM blocks, fusion, decoding and the frame-0 encode
-run on the calling thread. Each step runs the same ops whatever thread
-takes it, so here too no bit depends on the thread count.
+the previous reference's encode (none where it is frame 0's features)
+beside the target's, then the first reference's match beside the
+previous one's, each pair's second step on the pool thread. The CM
+blocks, fusion, decoding and the frame-0 encode run on the calling
+thread. Each step runs the same ops whatever thread takes it, so here
+too no bit depends on the thread count.
 
 ``check_scales_fit`` refuses scales whose matches could not fit in
 memory at once before any pass allocates them.
@@ -97,8 +100,6 @@ class InferenceOptions:
     scales: tuple[float, ...] = DEFAULT_SCALES
     first_frame_only: bool = False
     disable_cm: bool = False
-    soft_guidance: bool = True  # previous frame's aggregated P as the 4th channel
-    soft_reference_mask: bool = False  # weight the previous reference by P instead of its argmax
 
     def __post_init__(self):
         if not self.scales:
@@ -332,17 +333,10 @@ def infer_sequence(
         for t in range(1, len(frames)):
             cur_rgb = to_unit_float(frames[t])
             cur_scaled = [_resize_rgb(cur_rgb, sh, sw) for sh, sw in sizes]
-            references = []  # per object: the previous frame masked by it (None: frame 0's features), its guidance
-            for j, oid in enumerate(object_ids):
-                if options.first_frame_only:
-                    references.append((None, (masks[0] == oid).astype(np.float64)))
-                    continue
-                if options.soft_reference_mask:
-                    prev_masked = prev_rgb * stacks[t - 1][j + 1][:, :, None]
-                else:
-                    prev_masked = mask_out_background(prev_rgb, masks[t - 1], oid)
-                references.append((prev_masked, stacks[t - 1][j + 1] if options.soft_guidance
-                                   else (masks[t - 1] == oid).astype(np.float64)))
+            # per object: the previous reference (None: frame 0's features) and its guidance
+            src = 0 if options.first_frame_only else t - 1
+            references = [(None if src == 0 else mask_out_background(prev_rgb, masks[src], oid), stacks[src][j + 1])
+                          for j, oid in enumerate(object_ids)]
 
             def object_pass(j, k):
                 """Object j's probability at scale k, resized back to (h, w)."""

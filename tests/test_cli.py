@@ -391,6 +391,25 @@ class TestInfer:
         assert run_cli(["infer", "--config", os.path.join(first, "run.cfg"), "--out", again]) == 0
         assert tree_bytes(again) == tree_bytes(first)
 
+    @pytest.mark.parametrize("case", ["--soft-reference", "hard_guidance=false"])
+    def test_retired_switches_are_usage_errors_naming_the_flag(self, dataset, trained, tmp_path, capsys, case):
+        # infer run.cfg files written while infer had these switches hold
+        # hard_guidance=false and soft_reference=false lines
+        argv = ["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),
+                "--sequence", "seq00000", "--scales", "1.0"]
+        if case.startswith("--"):
+            argv.append(case)
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("\n".join(["command=infer", "first_frame_only=false", case]) + "\n", encoding="utf-8")
+            argv += ["--config", cfg]
+        out = tmp_path / "x"
+        assert run_cli(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        flag = {"--soft-reference": "--soft-reference", "hard_guidance=false": "--hard-guidance=false"}[case]
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err, err
+        assert not out.exists()
+
     def test_empty_out_is_usage_error(self, dataset, trained, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = run_cli(["infer", "--data", dataset, "--checkpoint", os.path.join(trained, "model.ckpt"),

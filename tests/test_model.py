@@ -158,10 +158,14 @@ class TestForward:
         off = forward_single_object(params, first, prev, cur, guid, disable_cm=True).array
         assert np.array_equal(on, off)
 
-    def test_cached_first_features_change_nothing(self):
+    # the model's pass sizes too, where conv2d and softmax_match run in blocks,
+    # at both channel plans: a FeatureMap gives the bits of the image it was made from
+    @pytest.mark.parametrize("plan", [(16, 32, 64), (4, 6, 8)], ids=["default-plan", "small-plan"])
+    @pytest.mark.parametrize("size", [(16, 24), (64, 96), (128, 192)], ids=["16x24", "64x96", "128x192"])
+    def test_cached_first_features_change_nothing(self, size, plan):
         rng = make_rng(14)
-        params = init_model_params(9)
-        first, prev, cur, guid = random_inputs(rng, 16, 24)
+        params = init_model_params(9, ModelConfig(stage_channels=plan))
+        first, prev, cur, guid = random_inputs(rng, *size)
         plain = forward_single_object(params, first, prev, cur, guid).array
         first_features = encode_reference_image(params, first)
         prev_features = encode_reference_image(params, prev)

@@ -165,8 +165,6 @@ class TestInferSequence:
         for options in (
             InferenceOptions(first_frame_only=True),
             InferenceOptions(disable_cm=True),
-            InferenceOptions(soft_guidance=False),
-            InferenceOptions(soft_reference_mask=True),
         ):
             result = infer_sequence(video, video.masks[0], params, options)
             assert len(result.masks) == len(video.frames)
@@ -246,8 +244,9 @@ class TestReferenceEncodes:
                                 InferenceOptions(scales=scales, first_frame_only=first_frame_only))
         m, s, t = len(result.object_ids), len(scales), len(video.frames)
         assert m == 2
-        # frame 0's M*S, plus the previous reference of every later frame's M*S passes
-        assert calls.count("encode_reference") == (m * s if first_frame_only else m * s * t)
+        # frame 0's M*S, plus the previous reference of the M*S passes of frames 2 on;
+        # frame 1's previous reference is frame 0's, whose features are at hand
+        assert calls.count("encode_reference") == (m * s if first_frame_only else m * s * (t - 1))
         assert calls.count("first_reference") == m * s
         assert calls.count("forward") == m * s * (t - 1)
         assert max(i for i, c in enumerate(calls) if c == "first_reference") < calls.index("forward")
@@ -278,8 +277,7 @@ class TestScaleThreads:
     one-thread loop's bit for bit."""
 
     @pytest.mark.parametrize("case", [
-        "default", "repeated-scale", "first-frame-only-hard", "soft-reference", "disable-cm", "single-encoder",
-        "one-object",
+        "default", "repeated-scale", "first-frame-only", "disable-cm", "single-encoder", "one-object",
     ])
     def test_stacks_and_labels_equal_one_thread(self, monkeypatch, case):
         preset = "default" if case == "one-object" else "occlusion-heavy"
@@ -289,8 +287,7 @@ class TestScaleThreads:
         options = {
             "default": InferenceOptions(),
             "repeated-scale": InferenceOptions(scales=(0.5, 1.0, 1.5, 1.0)),
-            "first-frame-only-hard": InferenceOptions(first_frame_only=True, soft_guidance=False),
-            "soft-reference": InferenceOptions(soft_reference_mask=True),
+            "first-frame-only": InferenceOptions(first_frame_only=True),
             "disable-cm": InferenceOptions(disable_cm=True),
             "single-encoder": InferenceOptions(),
             "one-object": InferenceOptions(),
@@ -484,7 +481,7 @@ class TestPassPool:
         monkeypatch.setattr(propagation, "forward_single_object", failing_forward)
         monkeypatch.setattr(propagation, "encode_reference_image", failing_encode)
         with pytest.raises(RuntimeError, match="pass failed"):
-            infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,), soft_guidance=False))
+            infer_sequence(video, video.masks[0], params, InferenceOptions(scales=(1.0,)))
         assert npmca_threads() == []
 
 
@@ -564,9 +561,10 @@ class TestPairs:
         use_threads(monkeypatch, 2)
         infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
         # per predicted frame, each pair's first step on the calling thread
-        # and its second on the pool (the frame-0 encode is propagation's own call)
-        assert sorted(ran) == sorted([("previous-encode", "MainThread"), ("target-encode", "npmca-pass"),
-                                      ("first-match", "MainThread"), ("previous-match", "npmca-pass")] * 2)
+        # and its second on the pool (the frame-0 encode is propagation's own
+        # call, and frame 1's previous reference is its features)
+        frame_1 = [("target-encode", "npmca-pass"), ("first-match", "MainThread"), ("previous-match", "npmca-pass")]
+        assert sorted(ran) == sorted(frame_1 + [("previous-encode", "MainThread")] + frame_1)
         assert npmca_threads() == []
 
     @pytest.mark.parametrize("failing", ["previous-encode", "target-encode", "first-match", "previous-match"])
@@ -576,10 +574,14 @@ class TestPairs:
         use_threads(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=f"{failing} failed"):
             infer_sequence(video, first, params, InferenceOptions(scales=(1.0,)))
-        # in the first predicted frame: the failing step's partner finished
-        # before the error reached the caller, and no later step started
+        # the failing step's partner finished before the error reached the
+        # caller, and no later step started; frame 1 encodes no previous
+        # reference, so that step first runs, and fails, in frame 2
         encodes, matches = ["previous-encode", "target-encode"], ["first-match", "previous-match"]
-        steps = encodes + (matches if failing in matches else [])
+        if failing == "previous-encode":
+            steps = ["target-encode"] + matches + encodes
+        else:
+            steps = ["target-encode"] + (matches if failing in matches else [])
         assert sorted(name for name, _ in ran) == sorted(f"{name} failed" if name == failing else name for name in steps)
         assert npmca_threads() == []
 
@@ -714,9 +716,9 @@ class TestLoadedClips:
 
     @pytest.mark.parametrize("options", [
         InferenceOptions(),
-        InferenceOptions(first_frame_only=True, soft_guidance=False),
-        InferenceOptions(scales=(1.0,), soft_reference_mask=True),
-    ], ids=["default", "first-frame-only-hard", "soft-reference"])
+        InferenceOptions(first_frame_only=True),
+        InferenceOptions(scales=(1.0,)),
+    ], ids=["default", "first-frame-only", "one-scale"])
     def test_stacks_and_labels_equal_float_clips(self, tmp_path, options):
         write_sequence(tmp_path, generate_sequence(random_scene(9, "occlusion-heavy", (32, 48), 4), 9, "seq"))
         loaded = load_sequence(tmp_path, "seq")
