@@ -12,7 +12,7 @@ pretrained checkpoint and prints the sha256 of each float64 (M+1, H, W)
 stack: on every 32x48 clip with default options and with
 ``first_frame_only``, and eight times on the 128x192 clip at one scale,
 with the pretrained model and with a fixed-seed (4, 6, 8)-plan one, whose
-narrow convs round differently in blocks and whole at some sizes, each
+narrow convs show a changed block rule in their last bits, each
 with both objects and with the first object alone. With both, a frame's
 two passes run at once on a pass pool where two CPUs are usable. With
 one, the frame's single pass runs its two branch pairs (the two encodes,

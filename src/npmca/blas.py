@@ -3,9 +3,10 @@
 OpenBLAS splits a large product between its threads, and how it splits
 changes the order of the float sums, so checkpoints and probability
 stacks would depend on the host's BLAS thread count. With one BLAS
-thread they do not, and the package runs independent passes on threads
-of its own instead (``workers``): a training batch's samples, and each
-object's scale passes at inference. numpy's wheel ships OpenBLAS under
+thread they do not, and the package runs independent work on threads of
+its own instead (``workers``): a training batch's samples, and at
+inference a frame's (object, scale) passes, its frame-0 encodes and a
+lone pass's branch pairs. numpy's wheel ships OpenBLAS under
 ``numpy.libs/``, already loaded by the time this module runs; opening it
 again with ``ctypes`` returns the loaded library, whose thread-count
 setter still takes effect. Where no setter is found (numpy on MKL,

@@ -102,26 +102,30 @@ def _config_tokens(path: str, command: str, sub: argparse.ArgumentParser) -> lis
     ``--key=value``, which keeps values such as ``-3`` values.
     """
     tokens = []
-    with open(path, encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            where = f"config {path} line {number}"
-            if not sep or not key:
-                raise ConfigError(f"{where}: expected key=value, got {line!r}")
-            flag = "--" + key.replace("_", "-")
-            if key == "command":
-                if value != command:
-                    raise ConfigError(f"{where}: the file is for {value!r}, not {command!r}")
-            elif isinstance(sub.get_default(key), bool):
-                if value not in ("true", "false"):
-                    raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
-                if value == "true":
-                    tokens.append(flag)
-            else:
-                tokens.append(f"{flag}={value}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
+    for number, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        where = f"config {path} line {number}"
+        if not sep or not key:
+            raise ConfigError(f"{where}: expected key=value, got {line!r}")
+        flag = "--" + key.replace("_", "-")
+        if key == "command":
+            if value != command:
+                raise ConfigError(f"{where}: the file is for {value!r}, not {command!r}")
+        elif isinstance(sub.get_default(key), bool):
+            if value not in ("true", "false"):
+                raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
+            if value == "true":
+                tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={value}")
     return tokens
 
 

@@ -348,7 +348,10 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 
     while pos < len(blob):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: parameter name is not UTF-8", offset=pos - name_len + exc.start) from None
         (rank,) = struct.unpack("<I", take(4, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
         count = math.prod(dims)  # Python integers: numpy's int64 product can wrap to a small count

@@ -10,24 +10,21 @@ element broadcast against the other.
 bit the composition of ``matmul``, ``transpose`` and ``softmax_columns``,
 in one similarity buffer and one tape node instead of five.
 
-Each untaped op has one path, which reads shapes alone: the conv2d GEMM
-and the match run whole below their block budgets and in blocks above
-them, so that passes of several objects can run at once in bounded
-memory. ``conv2d`` lays out a patch matrix of more than
-``CONV_BLOCK_BYTES`` in near-equal blocks of output-map rows, each at
-most that size, in one reused buffer, and multiplies them one after
-another into their rows of the output. ``softmax_match`` with a
-similarity of at least ``MATCH_BLOCK_BYTES`` runs in blocks of
-``MATCH_BLOCK_COLUMNS`` target columns: each block's similarity, column
-softmax and blend, in one reused (N, block) buffer. A column's softmax
-reads only that column, and at the model's default channel plan each
-block's products equal the whole products' rows or columns bit for bit.
-The (4, 6, 8) plan's 4-output-channel convs at 80x120 and 128x192 do
-not: they round differently when blocked, so there an untaped forward's
-bits, fixed by the block budget, differ from a taped forward's. No op
-starts a thread or reads the thread it runs on, so no bit depends on the
-pass count or the CPU count. On a tape every step runs once over its whole
-input.
+Each op lays out its work by shapes alone, so that passes of several
+objects can run at once in bounded memory. ``conv2d``, taped or not, lays
+out a patch matrix of more than ``CONV_BLOCK_BYTES`` in near-equal blocks
+of output-map rows, each at most that size, in one reused buffer, and
+multiplies them one after another into their rows of the output. An
+untaped ``softmax_match`` runs in blocks of ``MATCH_BLOCK_COLUMNS`` target
+columns (one block up to that many pixels): each block's similarity,
+column softmax and blend, in one reused (N, block) buffer. A column's
+softmax reads only that column, and at the model's default channel plan
+each block's products equal the whole products' rows or columns bit for
+bit, so the taped match, whole for its adjoint, gives the untaped bits.
+The (4, 6, 8) plan's 2-channel matches round differently in blocks at
+some sizes (864 and 1024 pixels: 96x144 and 128x128 frames), where a
+taped forward's last bits then differ. No op starts a thread or reads
+the thread it runs on, so no bit depends on the pass count or CPU count.
 """
 
 import math
@@ -204,22 +201,19 @@ def concat_channels(parts) -> Tensor:
 
 
 # An untaped pass bounds its two largest temporaries by shape alone, so that
-# two passes can run at once: conv2d lays out a patch matrix of more than
-# CONV_BLOCK_BYTES in row blocks, and softmax_match runs a similarity of at
-# least MATCH_BLOCK_BYTES (from 1024 pixels) in blocks of MATCH_BLOCK_COLUMNS
-# target columns. On a 2-vCPU Xeon VM (one 12 s perfbench run each),
-# infer-128x192-occl with two objects' passes at once read a peak RSS of
-# 144.9 MB with neither block, 142.7 MB with the conv blocks alone,
-# 140.3 MB with the similarity blocks alone and 125.2 MB with both (one pass
-# at a time: 120.8 MB), at 72.3, 71.6, 70.0 and 67.9 ms per frame-object;
-# 1 and 4 MiB conv blocks read 124.2 and 126.1 MB. With the default plan's 16
-# matching channels, 128-, 256- and 512-column blocks of a 600-pixel match
-# differ in bits from the whole match on OpenBLAS's SkylakeX kernels, and 384
-# columns do not, nor at 216, 384, 864, 1024, 1037, 1350, 1536 or 2400
-# pixels. The matches of 3-scale inference at 64x96 (216, 384 and 600
-# pixels) stay whole.
+# two passes can run at once: conv2d, taped or not, lays out a patch matrix of
+# more than CONV_BLOCK_BYTES in row blocks, and an untaped softmax_match runs
+# in blocks of MATCH_BLOCK_COLUMNS target columns. On a 2-vCPU Xeon VM (one
+# 12 s perfbench run each), infer-128x192-occl with two objects' passes at once
+# read a peak RSS of 144.9 MB with neither block, 142.7 MB with the conv
+# blocks alone, 140.3 MB with the similarity blocks alone and 125.2 MB with
+# both (one pass at a time: 120.8 MB), at 72.3, 71.6, 70.0 and 67.9 ms per
+# frame-object; 1 and 4 MiB conv blocks read 124.2 and 126.1 MB. With the
+# default plan's 16 matching channels, 128-, 256- and 512-column blocks of a
+# 600-pixel match differ in bits from the whole match on OpenBLAS's SkylakeX
+# kernels, and 384 columns do not, nor at 216, 384, 864, 1024, 1037, 1350,
+# 1536 or 2400 pixels.
 CONV_BLOCK_BYTES = 2 << 20
-MATCH_BLOCK_BYTES = 8 << 20
 MATCH_BLOCK_COLUMNS = 384
 
 
@@ -295,9 +289,9 @@ def softmax_match(ref, tar) -> Tensor:
     """``ref^T @ softmax_columns(ref @ tar^T)`` for (N, C) pixel rows of one
     grid: column j of the (C, N) result blends the reference rows by their
     similarity to target row j. The (N, N) similarity is one buffer,
-    softmaxed in place; the adjoint closes over it. Untaped, a similarity
-    of at least ``MATCH_BLOCK_BYTES`` is made and blended by blocks of
-    ``MATCH_BLOCK_COLUMNS`` columns instead (``_match_blocks``)."""
+    softmaxed in place; the adjoint closes over it. Untaped, the
+    similarity is made and blended by blocks of ``MATCH_BLOCK_COLUMNS``
+    columns instead (``_match_blocks``)."""
     ref = _as_tensor(ref)
     tar = _as_tensor(tar)
     if ref.ndim != 2 or tar.ndim != 2:
@@ -307,8 +301,7 @@ def softmax_match(ref, tar) -> Tensor:
     R = ref.array
     tape = resolve_tape(ref, tar)
     if tape is None:  # the faster layout at inference
-        n = len(R)
-        return Tensor(_match_blocks(R, tar.array, MATCH_BLOCK_COLUMNS if 8 * n * n >= MATCH_BLOCK_BYTES else n))
+        return Tensor(_match_blocks(R, tar.array, MATCH_BLOCK_COLUMNS))
     # contiguous transposes, as transpose nodes hand them to matmul: the composed tape's products and bits
     ref_t = np.ascontiguousarray(R.T)
     tar_t = np.ascontiguousarray(tar.array.T)
@@ -355,16 +348,16 @@ def _tap_windows(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int
 
 
 def _conv_forward(xp: np.ndarray, taps: np.ndarray, bias: np.ndarray, kh: int, kw: int, stride: int,
-                  oh: int, ow: int, taped: bool) -> np.ndarray:
+                  oh: int, ow: int) -> np.ndarray:
     """The conv2d forward: the patch matrix times the taps, plus the bias.
-    Untaped, a patch matrix of more than ``CONV_BLOCK_BYTES`` is laid out
-    and multiplied in near-equal blocks of output-map rows, each at most
-    that size (one map row at least; the last block possibly shorter), one
-    block at a time in one reused buffer; otherwise it is one block."""
+    A patch matrix of more than ``CONV_BLOCK_BYTES`` is laid out and
+    multiplied in near-equal blocks of output-map rows, each at most that
+    size (one map row at least; the last block possibly shorter), one block
+    at a time in one reused buffer; otherwise it is one block."""
     view = _patch_view(xp, kh, kw, stride, oh, ow)
     width = len(taps)
     direct = kh == kw == stride == 1  # the patches of a 1x1 kernel at stride 1 are the map as it lies
-    blocks = 1 if direct or taped else -(-oh // max(1, CONV_BLOCK_BYTES // (8 * ow * width)))
+    blocks = 1 if direct else -(-oh // max(1, CONV_BLOCK_BYTES // (8 * ow * width)))
     rows = -(-oh // blocks)
     cols = xp.reshape(view.shape) if direct else np.empty((rows, *view.shape[1:]))
     out = np.empty((oh * ow, taps.shape[1]))
@@ -386,7 +379,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     must be divisible by the stride, otherwise the call is a shape error.
 
     The forward pass is one GEMM over the (OH*OW, kh*kw*Cin) patch matrix,
-    untaped in row blocks of at most ``CONV_BLOCK_BYTES``.
+    in row blocks of at most ``CONV_BLOCK_BYTES``.
     The input is padded once. On a tape, the adjoint keeps that padded
     map, not the input and not the kh*kw times wider patch matrix, and lays
     the patches out again from it for the weight adjoint: the same copy
@@ -419,7 +412,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     xp = _pad_spatial(x.array, pad) if pad else x.array
     taps = w.array.reshape(kh * kw * cin, cout)
     tape = resolve_tape(x, w, b)
-    out = _conv_forward(xp, taps, b.array, kh, kw, stride, oh, ow, taped=tape is not None)
+    out = _conv_forward(xp, taps, b.array, kh, kw, stride, oh, ow)
     if tape is None:
         return Tensor(out)
 

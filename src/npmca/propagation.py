@@ -20,7 +20,7 @@ the calling thread and a pool of ``loop_threads - 1`` threads pull from
 until it is empty. Each object's planes are added in scale order
 whatever thread made them, so stacks and label rasters do not depend on
 the thread count. Two passes alive at once stay in bounded memory, since
-an untaped pass lays out its conv patches in row blocks and its large
+an untaped pass lays out its conv patches in row blocks and its
 similarities in column blocks (``ops``).
 
 A frame with exactly one pass (one object, one scale) gives the list
@@ -204,10 +204,9 @@ def check_scales_fit(objects: int, scales: tuple[float, ...], size: tuple[int, i
     that a frame of ``objects`` objects on frames of ``size`` (H, W) may
     hold at once take more than half of ``memory_limit()``.
 
-    At most ``loop_threads`` matches are alive together. A match holds its
-    whole (N, N) float64 similarity when that is under
-    ``ops.MATCH_BLOCK_BYTES``, else one (N, ``ops.MATCH_BLOCK_COLUMNS``)
-    column block; the count takes the largest scale's for every thread.
+    At most ``loop_threads`` matches are alive together. A match holds one
+    (N, min(N, ``ops.MATCH_BLOCK_COLUMNS``)) float64 column block of its
+    similarity; the count takes the largest scale's for every thread.
     The other half of the memory is left for the rest of the passes and of
     the machine. ``infer_sequence`` would otherwise fail on an allocation,
     or push the machine out of memory on its way there."""
@@ -218,8 +217,7 @@ def check_scales_fit(objects: int, scales: tuple[float, ...], size: tuple[int, i
     for scale in scales:
         sh, sw = (_scaled_size(side, scale) for side in size)
         n = (sh // GRID_STRIDE) * (sw // GRID_STRIDE)
-        held = 8 * n * n
-        largest = max(largest, held if held < ops.MATCH_BLOCK_BYTES else 8 * n * min(n, ops.MATCH_BLOCK_COLUMNS))
+        largest = max(largest, 8 * n * min(n, ops.MATCH_BLOCK_COLUMNS))
     total = loop_threads(objects, scales) * largest
     if 2 * total > limit:
         raise ValueError(

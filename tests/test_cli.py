@@ -158,6 +158,14 @@ class TestTrain:
         assert len(rows) == 3
         assert all(np.isfinite(float(r.split(",")[1])) for r in rows[1:])
 
+    def test_config_not_utf8_is_usage_error_naming_the_file(self, dataset, tmp_path, capsys):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "x"
+        cfg.write_bytes(b"\xff\xfecommand=train\n")
+        assert run_cli(["train", "--config", cfg, "--data", dataset, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"npmca: config {cfg}: not UTF-8") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_run_cfg_records_resolved_lr(self, trained):
         lines = open(os.path.join(trained, "run.cfg"), encoding="utf-8").read().splitlines()
         assert "stage=pretrain" in lines
@@ -442,6 +450,14 @@ class TestInfer:
         err = capsys.readouterr().err
         assert f"{ckpt}: truncated while reading data of big/w (byte offset 35)" in err
         assert "Traceback" not in err and not (tmp_path / "x").exists()
+
+    def test_checkpoint_name_not_utf8_is_a_format_error(self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "name.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"\xff\xfe\xfd\xfc\xfb")
+        assert run_cli(["infer", "--data", dataset, "--checkpoint", str(ckpt), "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"npmca: {ckpt}: parameter name is not UTF-8 (byte offset {len(CHECKPOINT_MAGIC) + 4})\n"
+        assert not (tmp_path / "x").exists()
 
     def test_reports_rate_and_scale_threads_on_stderr(self, dataset, trained, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

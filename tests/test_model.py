@@ -389,6 +389,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="duplicate"):
             read_checkpoint(path)
 
+    def test_a_name_that_is_not_utf8_names_the_file_and_offset(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"\xff\xfe\xfd\xfc\xfb")
+        with pytest.raises(FormatError, match="parameter name is not UTF-8") as caught:
+            read_checkpoint(path)
+        assert caught.value.offset == len(CHECKPOINT_MAGIC) + 4
+        assert str(path) in str(caught.value)
+
     def test_dims_whose_product_wraps_int64_read_as_truncated(self, tmp_path):
         # 4194304**3 = 2**66 elements: an int64 product wraps to 0 and would
         # read no data, then fail in numpy's reshape without file or offset

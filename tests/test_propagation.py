@@ -643,12 +643,11 @@ class TestScalesFit:
     before anything is allocated."""
 
     def test_each_thread_counts_the_largest_scales_match_against_half_the_limit(self, monkeypatch):
-        # a 128x192 frame has a 384-pixel grid at scale 0.5, whose whole
-        # similarity is under MATCH_BLOCK_BYTES, and a 1536-pixel one at 1,
-        # which holds one 384-column block; one object at two scales runs on two threads
+        # a 128x192 frame has a 384-pixel grid at scale 0.5 and a 1536-pixel one
+        # at 1; a match of N pixels holds one block of min(N, 384) columns, and
+        # one object at two scales runs on two threads
         use_threads(monkeypatch, 4)
-        assert 8 * 384**2 < ops.MATCH_BLOCK_BYTES <= 8 * 1536**2
-        both = 2 * max(8 * 384**2, 8 * 1536 * ops.MATCH_BLOCK_COLUMNS)
+        both = 2 * max(8 * n * min(n, ops.MATCH_BLOCK_COLUMNS) for n in (384, 1536))
         monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * both)
         propagation.check_scales_fit(1, (0.5, 1.0), (128, 192), "seq")
         monkeypatch.setattr(propagation, "memory_limit", lambda: 2 * both - 1)

@@ -193,8 +193,8 @@ def matmul_rows(monkeypatch):
 
 
 class TestBlocks:
-    """An untaped conv2d lays out a large patch matrix in row blocks and
-    an untaped softmax_match runs a large similarity in column blocks:
+    """A conv2d, taped or not, lays out a large patch matrix in row blocks
+    and an untaped softmax_match runs its similarity in column blocks:
     equal to the whole calls bit for bit, and holding one block at a
     time."""
 
@@ -232,28 +232,40 @@ class TestBlocks:
         r = np.random.default_rng(n)
         ref, tar = r.normal(size=(n, 16)), r.normal(size=(n, 16))
         with monkeypatch.context() as patch:
-            patch.setattr(ops, "MATCH_BLOCK_BYTES", 1 << 60)
+            patch.setattr(ops, "MATCH_BLOCK_COLUMNS", 1 << 60)
             whole = ops.softmax_match(ref, tar).array
         with monkeypatch.context() as patch:
             outs = matmul_rows(patch)
             got = ops.softmax_match(ref, tar).array
         assert got.tobytes() == whole.tobytes()
-        if n < 1024:  # a similarity under MATCH_BLOCK_BYTES stays whole
-            assert outs == [(n, n), (16, n)]
-        else:
-            widths = [min(384, n - lo) for lo in range(0, n, ops.MATCH_BLOCK_COLUMNS)]
-            assert outs == [shape for w in widths for shape in ((n, w), (16, w))]
+        # one block up to 384 pixels
+        widths = [min(384, n - lo) for lo in range(0, n, ops.MATCH_BLOCK_COLUMNS)]
+        assert outs == [shape for w in widths for shape in ((n, w), (16, w))]
 
-    def test_blocks_run_only_untaped(self, monkeypatch):
+    def test_a_taped_conv_takes_the_untaped_blocks_and_a_taped_match_stays_whole(self, monkeypatch):
         x, w, b = rng.normal(size=(64, 96, 32)), rng.normal(size=(3, 3, 32, 16)), rng.normal(size=16)
         ref, tar = rng.normal(size=(1536, 16)), rng.normal(size=(1536, 16))
-        with monkeypatch.context() as patch:
-            outs = matmul_rows(patch)
-            tape = Tape()
-            ops.conv2d(tape.watch(x), w, b, 1, 1)
-            ops.softmax_match(tape.watch(ref), tar)
-        # the taped conv multiplies its whole patch matrix; the taped match takes ``@``
-        assert outs == [(6144, 16)]
+        softmax = ops._softmax_columns_inplace
+        runs = []
+        for watch in (lambda a: a, Tape().watch):
+            with monkeypatch.context() as patch:
+                outs, softmaxed = matmul_rows(patch), []
+
+                def recording(m, out=None):
+                    softmaxed.append(m.shape)
+                    return softmax(m, out)
+
+                patch.setattr(ops, "_softmax_columns_inplace", recording)
+                conv = ops.conv2d(watch(x), w, b, 1, 1).array
+                conv_outs = list(outs)
+                ops.softmax_match(watch(ref), tar)
+            runs.append((conv.tobytes(), conv_outs, outs[len(conv_outs):], softmaxed))
+        (untaped, untaped_rows, untaped_match, untaped_softmax), (taped, taped_rows, taped_match, taped_softmax) = runs
+        # 8 blocks of 8 map rows, taped or not, and the same bits
+        assert taped_rows == untaped_rows == [(8 * 96, 16)] * 8 and taped == untaped
+        assert untaped_match == [(1536, 384), (16, 384)] * 4 and untaped_softmax == [(1536, 384)] * 4
+        # the taped match softmaxes one (1536, 1536) similarity, made by ``@``
+        assert taped_match == [] and taped_softmax == [(1536, 1536)]
 
     @pytest.mark.parametrize("block", ["first", "last"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -264,7 +276,7 @@ class TestBlocks:
         ref[:, 0] = np.abs(ref[:, 0]) + 0.5
         # similarity column j is then all ``value``: a -inf shows only in the column min
         tar[5 if block == "first" else n - 5, 0] = value
-        assert 8 * n * n >= ops.MATCH_BLOCK_BYTES
+        assert n > 2 * ops.MATCH_BLOCK_COLUMNS
         with monkeypatch.context() as patch:
             outs = matmul_rows(patch)
             with pytest.raises(NumericError) as exc:
@@ -324,8 +336,9 @@ class TestBlocks:
 
 class TestTapedForwards:
     """A taped forward gives the untaped bits: a training pass computes
-    what inference computes, though only the untaped conv and match run
-    in blocks (default channel plan)."""
+    what inference computes. A conv runs the same row blocks taped or not;
+    the taped match runs whole, which the untaped 384-column blocks equal
+    at these sizes."""
 
     @pytest.mark.parametrize("size", [(64, 96), (80, 120), (128, 192)], ids=["64x96", "80x120", "128x192"])
     def test_conv2d_at_every_shape_the_model_makes(self, size):
@@ -344,11 +357,13 @@ class TestTapedForwards:
         for taped in (ops.softmax_match(Tape().watch(ref), tar), ops.softmax_match(ref, Tape().watch(tar))):
             assert taped.array.tobytes() == untaped.tobytes()
 
-    @pytest.mark.parametrize("size", [(48, 72), (64, 96), (80, 120), (128, 192)],
-                             ids=["48x72", "64x96", "80x120", "128x192"])
-    def test_a_model_pass(self, size):
+    @pytest.mark.parametrize("plan, size", [
+        pytest.param(plan, size, id=f"{size[0]}x{size[1]}" + ("-4-6-8" if plan else ""))
+        for plan in (None, (4, 6, 8)) for size in [(48, 72), (64, 96), (80, 120), (128, 192)]
+    ])
+    def test_a_model_pass(self, plan, size):
         r = np.random.default_rng(3)
-        params = init_model_params(3, ModelConfig())
+        params = init_model_params(3, ModelConfig(stage_channels=plan) if plan else ModelConfig())
         images = [r.uniform(size=(*size, 3)) for _ in range(3)]
         guidance = r.uniform(size=size)
         untaped = forward_single_object(params, *images, guidance).array
